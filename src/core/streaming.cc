@@ -4,33 +4,12 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "sax/mindist.h"
 #include "util/check.h"
 #include "util/strings.h"
 
 namespace gva {
 
 namespace {
-
-/// The numerosity-reduction decision against the generation's previously
-/// kept word (paper Section 3.2) — the streaming twin of the batch loop in
-/// sax_transform.cc.
-bool KeepWord(const std::vector<std::string>& kept, const std::string& word,
-              NumerosityReduction numerosity, const NormalAlphabet& alphabet) {
-  if (kept.empty()) {
-    return true;
-  }
-  const std::string& prev = kept.back();
-  switch (numerosity) {
-    case NumerosityReduction::kNone:
-      return true;
-    case NumerosityReduction::kExact:
-      return word != prev;
-    case NumerosityReduction::kMinDist:
-      return !MinDistIsZero(word, prev, alphabet);
-  }
-  return true;
-}
 
 bool SpanBefore(const Interval& a, const Interval& b) {
   return a.start != b.start ? a.start < b.start : a.end < b.end;

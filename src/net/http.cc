@@ -1,7 +1,5 @@
 #include "net/http.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
@@ -279,18 +277,6 @@ void HttpParser::ConsumeRequest() {
   content_length_ = 0;
   headers_done_ = false;
   request_ = HttpRequest{};
-}
-
-bool SendAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t written = ::write(fd, data.data() + off, data.size() - off);
-    if (written <= 0) {
-      return false;
-    }
-    off += static_cast<size_t>(written);
-  }
-  return true;
 }
 
 }  // namespace gva::net

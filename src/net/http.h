@@ -127,10 +127,6 @@ class HttpParser {
   std::string error_reason_;
 };
 
-/// Writes the whole buffer to `fd`, tolerating short writes. Returns false
-/// if the peer hung up mid-write.
-bool SendAll(int fd, std::string_view data);
-
 }  // namespace gva::net
 
 #endif  // GVA_NET_HTTP_H_

@@ -1,16 +1,9 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "datasets/ecg.h"
@@ -25,11 +18,6 @@
 namespace gva::net {
 
 namespace {
-
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 /// Tenant and stream identifiers share one restricted alphabet so the
 /// "<tenant>/<id>" stream key is unambiguous and identifiers embed into
@@ -299,75 +287,35 @@ StatusOr<std::unique_ptr<AnomalyServer>> AnomalyServer::Start(
   StatusOr<std::unique_ptr<JobRunner>> runner =
       JobRunner::Create(options.runner);
   GVA_RETURN_IF_ERROR(runner.status());
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("bad server bind address '" +
-                                   options.bind_address + "'");
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IoError("server socket(2) failed");
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("cannot bind server port %u on %s",
-                                     static_cast<unsigned>(options.port),
-                                     options.bind_address.c_str()));
-  }
-  if (::listen(fd, 64) != 0 || !SetNonBlocking(fd)) {
-    ::close(fd);
-    return Status::IoError("server listen(2) failed");
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    ::close(fd);
-    return Status::IoError("server getsockname(2) failed");
-  }
-  const uint16_t port = ntohs(bound.sin_port);
-
-  int wake[2];
-  if (::pipe(wake) != 0) {
-    ::close(fd);
-    return Status::IoError("server self-pipe failed");
-  }
+  HttpServerOptions http_options;
+  http_options.port = options.port;
+  http_options.bind_address = options.bind_address;
+  http_options.max_connections = options.max_connections;
+  http_options.http_limits = options.http_limits;
+  StatusOr<std::unique_ptr<HttpServer>> http =
+      HttpServer::Listen(http_options);
+  GVA_RETURN_IF_ERROR(http.status());
   int event[2];
   if (::pipe(event) != 0) {
-    ::close(fd);
-    ::close(wake[0]);
-    ::close(wake[1]);
     return Status::IoError("server event pipe failed");
   }
-
   return std::unique_ptr<AnomalyServer>(
-      new AnomalyServer(options, fd, wake[0], wake[1], event[0], event[1],
-                        port, std::move(*runner)));
+      new AnomalyServer(options, event[0], event[1], std::move(*runner),
+                        std::move(*http)));
 }
 
 AnomalyServer::AnomalyServer(const AnomalyServerOptions& options,
-                             int listen_fd, int wake_read_fd,
-                             int wake_write_fd, int event_read_fd,
-                             int event_write_fd, uint16_t port,
-                             std::unique_ptr<JobRunner> runner)
+                             int event_read_fd, int event_write_fd,
+                             std::unique_ptr<JobRunner> runner,
+                             std::unique_ptr<HttpServer> http)
     : options_(options),
-      listen_fd_(listen_fd),
-      wake_read_fd_(wake_read_fd),
-      wake_write_fd_(wake_write_fd),
       shutdown_event_read_fd_(event_read_fd),
       shutdown_event_write_fd_(event_write_fd),
-      port_(port),
       started_(std::chrono::steady_clock::now()),
-      runner_(std::move(runner)) {
-  thread_ = std::thread([this] { EventLoop(); });
+      runner_(std::move(runner)),
+      http_(std::move(http)) {
+  http_->Start(
+      [this](const HttpRequest& request) { return HandleRequest(request); });
 }
 
 AnomalyServer::~AnomalyServer() { Stop(); }
@@ -376,15 +324,8 @@ void AnomalyServer::Stop() {
   if (stopping_.exchange(true)) {
     return;
   }
-  const ssize_t poked = ::write(wake_write_fd_, "q", 1);
-  (void)poked;  // a full pipe still wakes the 250 ms poll timeout
-  if (thread_.joinable()) {
-    thread_.join();
-  }
+  http_->Stop();
   runner_->Shutdown();
-  ::close(listen_fd_);
-  ::close(wake_read_fd_);
-  ::close(wake_write_fd_);
   ::close(shutdown_event_read_fd_);
   ::close(shutdown_event_write_fd_);
 }
@@ -392,181 +333,6 @@ void AnomalyServer::Stop() {
 size_t AnomalyServer::stream_count() const {
   std::lock_guard<std::mutex> lock(streams_mu_);
   return streams_.size();
-}
-
-void AnomalyServer::EventLoop() {
-  std::vector<Connection> connections;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::vector<pollfd> fds;
-    fds.reserve(connections.size() + 2);
-    const bool can_accept = connections.size() < options_.max_connections;
-    fds.push_back(
-        pollfd{listen_fd_, static_cast<short>(can_accept ? POLLIN : 0), 0});
-    fds.push_back(pollfd{wake_read_fd_, static_cast<short>(POLLIN), 0});
-    for (const Connection& connection : connections) {
-      short events = static_cast<short>(POLLIN);
-      if (!connection.out.empty()) {
-        events = static_cast<short>(events | POLLOUT);
-      }
-      fds.push_back(pollfd{connection.fd, events, 0});
-    }
-    // The 250 ms timeout backstops a lost wakeup; the self-pipe is the
-    // fast path.
-    const int ready =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 250);
-    if (ready <= 0) {
-      continue;  // timeout or EINTR; re-check the stop flag
-    }
-    if ((fds[1].revents & POLLIN) != 0) {
-      break;  // Stop() poked the pipe
-    }
-    // Connections polled this round; AcceptConnections grows the vector
-    // past this count, and the newcomers have no fds entry yet — they are
-    // serviced next iteration, once polled.
-    const size_t polled = connections.size();
-    if ((fds[0].revents & POLLIN) != 0) {
-      AcceptConnections(&connections);
-    }
-    std::vector<Connection> live;
-    live.reserve(connections.size());
-    for (size_t i = 0; i < connections.size(); ++i) {
-      Connection& connection = connections[i];
-      if (i >= polled) {
-        live.push_back(std::move(connection));
-        continue;
-      }
-      const short revents = fds[i + 2].revents;
-      bool alive = (revents & (POLLERR | POLLNVAL)) == 0;
-      if (alive && (revents & (POLLIN | POLLHUP)) != 0) {
-        alive = ServiceReadable(&connection);
-      }
-      if (alive && (revents & POLLOUT) != 0) {
-        alive = ServiceWritable(&connection);
-      }
-      if (alive && connection.out.empty() && connection.close_after_write) {
-        alive = false;
-      }
-      if (alive) {
-        live.push_back(std::move(connection));
-      } else {
-        ::close(connection.fd);
-      }
-    }
-    connections = std::move(live);
-  }
-  DrainPendingWrites(&connections);
-}
-
-void AnomalyServer::AcceptConnections(std::vector<Connection>* connections) {
-  while (connections->size() < options_.max_connections) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      return;  // EAGAIN (drained) or transient accept failure
-    }
-    if (!SetNonBlocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    Connection connection;
-    connection.fd = fd;
-    connection.parser = HttpParser(options_.http_limits);
-    connections->push_back(std::move(connection));
-  }
-}
-
-bool AnomalyServer::ServiceReadable(Connection* connection) {
-  char buf[8192];
-  while (true) {
-    const ssize_t n = ::read(connection->fd, buf, sizeof(buf));
-    if (n > 0) {
-      connection->parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      if (static_cast<size_t>(n) < sizeof(buf)) {
-        break;  // short read: the socket is drained for now
-      }
-      continue;
-    }
-    if (n == 0) {
-      // Peer EOF. Serve whatever complete requests are buffered, then drop.
-      connection->close_after_write = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    return false;  // connection reset
-  }
-
-  // Drain every complete pipelined request in arrival order.
-  while (true) {
-    const HttpParser::State state = connection->parser.Parse();
-    if (state == HttpParser::State::kNeedMore) {
-      break;
-    }
-    if (state == HttpParser::State::kError) {
-      HttpResponse error;
-      error.status = connection->parser.error_status();
-      error.body = connection->parser.error_reason() + "\n";
-      connection->out += SerializeResponse(error);
-      connection->close_after_write = true;
-      break;
-    }
-    HttpResponse response = HandleRequest(connection->parser.request());
-    connection->parser.ConsumeRequest();
-    if (!response.keep_alive) {
-      connection->close_after_write = true;
-    }
-    connection->out += SerializeResponse(response);
-    if (connection->close_after_write) {
-      break;
-    }
-  }
-  // Opportunistic flush: the common response fits the socket buffer and
-  // never needs a POLLOUT round trip.
-  return ServiceWritable(connection);
-}
-
-bool AnomalyServer::ServiceWritable(Connection* connection) {
-  while (!connection->out.empty()) {
-    const ssize_t n =
-        ::send(connection->fd, connection->out.data(),
-               connection->out.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      connection->out.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return true;  // wait for POLLOUT
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    return false;  // peer gone
-  }
-  return true;
-}
-
-void AnomalyServer::DrainPendingWrites(std::vector<Connection>* connections) {
-  // Best-effort flush so a response queued just before Stop() — the admin
-  // shutdown acknowledgement in particular — still reaches the client.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  for (Connection& connection : *connections) {
-    while (!connection.out.empty() &&
-           std::chrono::steady_clock::now() < deadline) {
-      pollfd pfd{connection.fd, static_cast<short>(POLLOUT), 0};
-      if (::poll(&pfd, 1, 50) <= 0) {
-        continue;
-      }
-      if (!ServiceWritable(&connection)) {
-        break;
-      }
-    }
-    ::close(connection.fd);
-  }
-  connections->clear();
 }
 
 HttpResponse AnomalyServer::HandleRequest(const HttpRequest& request) {

@@ -8,12 +8,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/job_runner.h"
 #include "core/streaming.h"
 #include "net/http.h"
+#include "net/http_server.h"
 #include "util/statusor.h"
 
 namespace gva::net {
@@ -36,8 +36,8 @@ struct AnomalyServerOptions {
   HttpParser::Limits http_limits;
 };
 
-/// The gva_serverd engine: a single-threaded poll() event loop serving the
-/// multi-tenant anomaly-detection API over HTTP/1.1, with detection work
+/// The gva_serverd engine: the multi-tenant anomaly-detection API over
+/// HTTP/1.1, served from one HttpServer event loop, with detection work
 /// delegated to a JobRunner worker pool so a long RRA search never blocks
 /// the socket loop (DESIGN.md §13). Embeddable: tests Start() it
 /// in-process on an ephemeral port and speak to it over real sockets, or
@@ -75,12 +75,12 @@ class AnomalyServer {
   AnomalyServer(const AnomalyServer&) = delete;
   AnomalyServer& operator=(const AnomalyServer&) = delete;
 
-  /// Wakes the event loop, drains pending writes briefly, joins the loop
-  /// thread, and shuts the job runner down. Idempotent.
+  /// Stops the event loop (pending writes are drained briefly, the loop
+  /// thread joined) and shuts the job runner down. Idempotent.
   void Stop();
 
   /// The bound port (the kernel's choice when options.port was 0).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return http_->port(); }
 
   /// Read end of the shutdown-event pipe: becomes readable when a
   /// POST /v1/admin/shutdown lands. The daemon's main() polls this next to
@@ -104,31 +104,15 @@ class AnomalyServer {
   size_t stream_count() const;
 
  private:
-  struct Connection {
-    int fd = -1;
-    HttpParser parser;
-    std::string out;   ///< serialized responses awaiting POLLOUT
-    bool close_after_write = false;
-  };
-
   struct StreamSession {
     std::string tenant;
     StreamingAnomalyMonitor monitor;
   };
 
-  AnomalyServer(const AnomalyServerOptions& options, int listen_fd,
-                int wake_read_fd, int wake_write_fd, int event_read_fd,
-                int event_write_fd, uint16_t port,
-                std::unique_ptr<JobRunner> runner);
-
-  void EventLoop();
-  void AcceptConnections(std::vector<Connection>* connections);
-  /// Reads, parses, handles, and queues responses for one connection.
-  /// Returns false when the connection should be dropped immediately.
-  bool ServiceReadable(Connection* connection);
-  bool ServiceWritable(Connection* connection);
-  /// Best-effort flush of pending responses at shutdown.
-  void DrainPendingWrites(std::vector<Connection>* connections);
+  /// Starts `http`'s loop, answering with HandleRequest.
+  AnomalyServer(const AnomalyServerOptions& options, int event_read_fd,
+                int event_write_fd, std::unique_ptr<JobRunner> runner,
+                std::unique_ptr<HttpServer> http);
 
   // Route handlers. Each fills `response` (status, body, content type).
   void HandleJobSubmit(const HttpRequest& request, HttpResponse* response);
@@ -141,12 +125,8 @@ class AnomalyServer {
   std::vector<std::string> HealthzExtra() const;
 
   const AnomalyServerOptions options_;
-  const int listen_fd_;
-  const int wake_read_fd_;   ///< self-pipe: Stop() wakes the poll loop
-  const int wake_write_fd_;
   const int shutdown_event_read_fd_;   ///< admin shutdown notification
   const int shutdown_event_write_fd_;
-  const uint16_t port_;
   const std::chrono::steady_clock::time_point started_;
 
   std::unique_ptr<JobRunner> runner_;
@@ -158,7 +138,9 @@ class AnomalyServer {
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_requested_{false};
-  std::thread thread_;
+  /// Last: its loop thread answers through HandleRequest, which reads
+  /// every member above.
+  std::unique_ptr<HttpServer> http_;
 };
 
 }  // namespace gva::net

@@ -1,13 +1,6 @@
 #include "obs/telemetry_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -77,165 +70,44 @@ bool HandleTelemetryRoute(std::string_view method, std::string_view path,
 
 StatusOr<std::unique_ptr<TelemetryServer>> TelemetryServer::Start(
     const Options& options) {
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("bad telemetry bind address '" +
-                                   options.bind_address + "'");
-  }
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IoError("telemetry socket(2) failed");
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("cannot bind telemetry port %u on %s",
-                                     static_cast<unsigned>(options.port),
-                                     options.bind_address.c_str()));
-  }
-  if (::listen(fd, 16) != 0) {
-    ::close(fd);
-    return Status::IoError("telemetry listen(2) failed");
-  }
-
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    ::close(fd);
-    return Status::IoError("telemetry getsockname(2) failed");
-  }
-  const uint16_t port = ntohs(bound.sin_port);
-
-  int wake[2];
-  if (::pipe(wake) != 0) {
-    ::close(fd);
-    return Status::IoError("telemetry self-pipe failed");
-  }
-
+  net::HttpServerOptions http_options;
+  http_options.port = options.port;
+  http_options.bind_address = options.bind_address;
+  // Scrapes are bodyless GETs; cap what a confused client can buffer here.
+  http_options.http_limits.max_body_bytes = 4 * 1024;
+  StatusOr<std::unique_ptr<net::HttpServer>> http =
+      net::HttpServer::Listen(http_options);
+  GVA_RETURN_IF_ERROR(http.status());
   return std::unique_ptr<TelemetryServer>(
-      new TelemetryServer(fd, wake[0], wake[1], port));
+      new TelemetryServer(std::move(*http)));
 }
 
-TelemetryServer::TelemetryServer(int listen_fd, int wake_read_fd,
-                                 int wake_write_fd, uint16_t port)
-    : listen_fd_(listen_fd),
-      wake_read_fd_(wake_read_fd),
-      wake_write_fd_(wake_write_fd),
-      port_(port),
-      started_(std::chrono::steady_clock::now()) {
-  thread_ = std::thread([this] { ServeLoop(); });
+TelemetryServer::TelemetryServer(std::unique_ptr<net::HttpServer> http)
+    : started_(std::chrono::steady_clock::now()), http_(std::move(http)) {
+  http_->Start(
+      [this](const net::HttpRequest& request) { return Respond(request); });
 }
 
 TelemetryServer::~TelemetryServer() { Stop(); }
 
-void TelemetryServer::Stop() {
-  if (stopping_.exchange(true)) {
-    return;
-  }
-  net::SendAll(wake_write_fd_, "q");
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  ::close(listen_fd_);
-  ::close(wake_read_fd_);
-  ::close(wake_write_fd_);
-}
+void TelemetryServer::Stop() { http_->Stop(); }
 
-void TelemetryServer::ServeLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2];
-    fds[0].fd = listen_fd_;
-    fds[0].events = POLLIN;
-    fds[0].revents = 0;
-    fds[1].fd = wake_read_fd_;
-    fds[1].events = POLLIN;
-    fds[1].revents = 0;
-    // The 250 ms timeout is a belt on top of the self-pipe braces: even a
-    // lost wakeup only delays shutdown by a beat.
-    const int ready = ::poll(fds, 2, 250);
-    if (ready <= 0) {
-      continue;  // timeout or EINTR; re-check the stop flag
-    }
-    if ((fds[1].revents & POLLIN) != 0) {
-      return;  // Stop() poked the pipe
-    }
-    if ((fds[0].revents & POLLIN) == 0) {
-      continue;
-    }
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) {
-      continue;
-    }
-    ServeConnection(conn);
-    ::close(conn);
-  }
-}
-
-void TelemetryServer::ServeConnection(int fd) {
-  // A scraper that connects but never finishes its request must not wedge
-  // the loop: cap the read wait.
-  timeval timeout;
-  timeout.tv_sec = 2;
-  timeout.tv_usec = 0;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-  // Scrapes are bodyless GETs; cap what a confused client can buffer here.
-  net::HttpParser::Limits limits;
-  limits.max_body_bytes = 4 * 1024;
-  net::HttpParser parser(limits);
-  char buf[4096];
-  net::HttpParser::State state = net::HttpParser::State::kNeedMore;
-  while (state == net::HttpParser::State::kNeedMore) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) {
-      return;  // timeout, reset, or EOF before a full request
-    }
-    parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
-    state = parser.Parse();
-  }
-  if (state == net::HttpParser::State::kError) {
-    net::HttpResponse error;
-    error.status = parser.error_status();
-    error.body = parser.error_reason() + "\n";
-    net::SendAll(fd, net::SerializeResponse(error));
-    return;
-  }
-  const net::HttpResponse response =
-      HandleRequest(parser.request().method, parser.request().path);
-  net::SendAll(fd, net::SerializeResponse(response));
-}
-
-net::HttpResponse TelemetryServer::HandleRequest(std::string_view method,
-                                                 std::string_view path) {
-  // Direct callers may pass a raw target; the socket path already arrives
-  // normalized from the parser. Normalizing twice is a no-op.
-  std::string normalized_path;
-  std::string query;
-  net::NormalizeTarget(path, &normalized_path, &query);
-
+net::HttpResponse TelemetryServer::Respond(const net::HttpRequest& request) {
   // Self-metrics re-published on every request: an ObsSession reset wipes
   // their values, and this is what restores them on the next scrape.
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   MetricsRegistry& metrics = GlobalMetrics();
   metrics.counter("telemetry.requests").Add(1);
-  metrics.gauge("telemetry.port").Set(static_cast<int64_t>(port_));
+  metrics.gauge("telemetry.port").Set(static_cast<int64_t>(port()));
 
   net::HttpResponse response;
-  if (HandleTelemetryRoute(method, normalized_path, started_, {}, &response)) {
-    return response;
+  if (!HandleTelemetryRoute(request.method, request.path, started_, {},
+                            &response)) {
+    response.status = 404;
+    response.body =
+        "not found; try /metrics /metrics.json /healthz /flightz\n";
   }
-  response.status = 404;
-  response.content_type = "text/plain; charset=utf-8";
-  response.body =
-      "not found; try /metrics /metrics.json /healthz /flightz\n";
+  response.keep_alive = false;  // one scrape per connection
   return response;
 }
 

@@ -7,10 +7,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "net/http.h"
+#include "net/http_server.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -36,17 +36,11 @@ bool HandleTelemetryRoute(std::string_view method, std::string_view path,
                           const std::vector<std::string>& healthz_extra,
                           net::HttpResponse* response);
 
-/// Minimal embedded HTTP/1.1 listener for always-on telemetry. One
-/// background thread runs a blocking poll() accept loop and serves
-/// connections serially (scrapers come one Prometheus poll at a time;
-/// this is an exposition endpoint, not a web server). No third-party
-/// dependencies — raw POSIX sockets.
-///
-/// Routes:
-///   /metrics       Prometheus text exposition of GlobalMetrics()
-///   /metrics.json  the registry's native JSON export
-///   /healthz       liveness + backend/uptime snapshot (JSON)
-///   /flightz       the flight recorder's Chrome trace JSON
+/// Embedded HTTP/1.1 listener for always-on telemetry: the routes above on
+/// a net::HttpServer, the same event loop gva_serverd runs, so a client
+/// that stalls mid-request never delays a scrape. Every response closes
+/// its connection (scrapers reconnect per poll), request bodies are capped
+/// at 4 KiB (scrapes are bodyless GETs), and unknown paths get 404.
 ///
 /// Every request bumps the `telemetry.requests` counter and re-publishes
 /// the `telemetry.port` gauge, so the server's own series reappear on the
@@ -63,7 +57,8 @@ class TelemetryServer {
   };
 
   /// Binds, listens, and starts the serving thread. Fails with
-  /// kIoError if the port is taken or the address does not parse.
+  /// kInvalidArgument on an unparsable address and kIoError when the port
+  /// is taken.
   static StatusOr<std::unique_ptr<TelemetryServer>> Start(
       const Options& options);
 
@@ -71,18 +66,11 @@ class TelemetryServer {
   TelemetryServer(const TelemetryServer&) = delete;
   TelemetryServer& operator=(const TelemetryServer&) = delete;
 
-  /// Wakes the poll loop, joins the thread, closes the socket. Idempotent.
+  /// Stops the event loop and closes the socket. Idempotent.
   void Stop();
 
   /// The bound port (the kernel's choice when Options::port was 0).
-  uint16_t port() const { return port_; }
-
-  /// Maps a request to a response — the shared telemetry routing table
-  /// plus this server's 404 tail. Unknown paths get 404, non-GET methods
-  /// 405. `path` may still carry a query string (direct callers); it is
-  /// normalized with the same net::NormalizeTarget the parser uses.
-  net::HttpResponse HandleRequest(std::string_view method,
-                                  std::string_view path);
+  uint16_t port() const { return http_->port(); }
 
   /// Requests served since Start (monotonic, independent of the
   /// resettable `telemetry.requests` metric).
@@ -91,20 +79,16 @@ class TelemetryServer {
   }
 
  private:
-  TelemetryServer(int listen_fd, int wake_read_fd, int wake_write_fd,
-                  uint16_t port);
+  /// Starts `http`'s loop, answering with Respond.
+  explicit TelemetryServer(std::unique_ptr<net::HttpServer> http);
 
-  void ServeLoop();
-  void ServeConnection(int fd);
+  net::HttpResponse Respond(const net::HttpRequest& request);
 
-  const int listen_fd_;
-  const int wake_read_fd_;   ///< self-pipe: poll()ed alongside listen_fd_
-  const int wake_write_fd_;  ///< Stop() writes one byte here
-  const uint16_t port_;
   const std::chrono::steady_clock::time_point started_;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> requests_served_{0};
-  std::thread thread_;
+  /// Last: its loop thread answers through Respond, which reads the
+  /// members above.
+  std::unique_ptr<net::HttpServer> http_;
 };
 
 /// Process-wide server for binaries that take --telemetry-port: starts the

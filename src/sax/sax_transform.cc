@@ -7,7 +7,6 @@
 
 #include "backend/backend.h"
 #include "obs/trace.h"
-#include "sax/mindist.h"
 #include "sax/paa.h"
 #include "timeseries/rolling_stats.h"
 #include "timeseries/sliding_window.h"
@@ -254,26 +253,6 @@ struct RingSource {
   }
 };
 
-/// The numerosity-reduction decision (paper Section 3.2): whether `word`
-/// is recorded given the previously recorded word. Shared by the inline
-/// and precomputed-plane discretization loops.
-bool KeepWord(const SaxRecords& records, const std::string& word,
-              NumerosityReduction numerosity, const NormalAlphabet& alphabet) {
-  if (records.words.empty()) {
-    return true;
-  }
-  const std::string& prev = records.words.back();
-  switch (numerosity) {
-    case NumerosityReduction::kNone:
-      return true;
-    case NumerosityReduction::kExact:
-      return word != prev;
-    case NumerosityReduction::kMinDist:
-      return !MinDistIsZero(word, prev, alphabet);
-  }
-  return true;
-}
-
 StatusOr<SaxRecords> DiscretizeImpl(std::span<const double> series,
                                     const SaxOptions& opts,
                                     NumerosityReduction numerosity) {
@@ -301,7 +280,7 @@ StatusOr<SaxRecords> DiscretizeImpl(std::span<const double> series,
   std::string word(opts.paa_size, 'a');
   for (size_t pos = 0; pos < windows; ++pos) {
     discretizer.WordAt(pos, word);
-    if (KeepWord(records, word, numerosity, alphabet)) {
+    if (KeepWord(records.words, word, numerosity, alphabet)) {
       records.words.push_back(word);
       records.offsets.push_back(pos);
     }
@@ -524,7 +503,7 @@ StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
       word = SaxWordForWindow(WindowAt(series, pos, opts.window), opts,
                               alphabet);
     }
-    if (KeepWord(records, word, opts.numerosity, alphabet)) {
+    if (KeepWord(records.words, word, opts.numerosity, alphabet)) {
       records.words.push_back(word);
       records.offsets.push_back(pos);
     }

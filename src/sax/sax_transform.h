@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sax/alphabet.h"
+#include "sax/mindist.h"
 #include "timeseries/rolling_stats.h"
 #include "timeseries/znorm.h"
 #include "util/status.h"
@@ -32,6 +33,28 @@ enum class NumerosityReduction {
   /// non-zero (the looser option exposed by the GrammarViz 2.0 UI).
   kMinDist,
 };
+
+/// The numerosity-reduction decision (paper Section 3.2): whether `word`
+/// is kept after the words already kept in `kept` (only the last one is
+/// compared). Shared by the batch discretization loops and the streaming
+/// engine; inline because every window of every series goes through it.
+inline bool KeepWord(const std::vector<std::string>& kept,
+                     const std::string& word, NumerosityReduction numerosity,
+                     const NormalAlphabet& alphabet) {
+  if (kept.empty()) {
+    return true;
+  }
+  const std::string& prev = kept.back();
+  switch (numerosity) {
+    case NumerosityReduction::kNone:
+      return true;
+    case NumerosityReduction::kExact:
+      return word != prev;
+    case NumerosityReduction::kMinDist:
+      return !MinDistIsZero(word, prev, alphabet);
+  }
+  return true;
+}
 
 /// Discretization parameters shared by every SAX consumer in the library.
 struct SaxOptions {

@@ -1,12 +1,9 @@
 #include "obs/telemetry_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,25 +13,18 @@
 
 #include "obs/metrics.h"
 #include "obs/session.h"
+#include "server/server_test_client.h"
 
 namespace gva {
 namespace {
 
+using ::gva::testing::ConnectLoopback;
+
 /// Blocking one-shot HTTP GET over a raw socket; returns the full response
 /// (headers + body), or empty on any failure.
 std::string HttpGet(uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectLoopback(port);
   if (fd < 0) {
-    return std::string();
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
     return std::string();
   }
   const std::string request =
@@ -191,6 +181,29 @@ TEST_F(TelemetryServerTest, ConcurrentScrapeAndMutationIsRaceFree) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& m : mutators) {
     m.join();
+  }
+}
+
+// Clients that connect and stall mid-request must not delay anyone else's
+// scrape: every connection is served from one event loop, none of them
+// holds the listener while it waits for bytes.
+TEST_F(TelemetryServerTest, StalledClientsDoNotDelayScrapes) {
+  const std::string partial = "GET /metrics HTTP/1.1\r\n";
+  std::vector<int> stalled;
+  for (int i = 0; i < 4; ++i) {
+    const int fd = ConnectLoopback(server_->port());
+    ASSERT_GE(fd, 0);
+    stalled.push_back(fd);
+    ASSERT_EQ(::write(fd, partial.data(), partial.size()),
+              static_cast<ssize_t>(partial.size()));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = HttpGet(server_->port(), "/healthz");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(response.find("\"status\": \"ok\""), std::string::npos);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  for (const int fd : stalled) {
+    ::close(fd);
   }
 }
 

@@ -1,6 +1,11 @@
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +22,7 @@
 namespace gva {
 namespace {
 
+using ::gva::testing::ConnectLoopback;
 using ::gva::testing::HttpGet;
 using ::gva::testing::SendHttpRequest;
 using ::gva::testing::TestHttpResponse;
@@ -75,6 +81,63 @@ std::string JobState(uint16_t port, uint64_t id) {
     return "";
   }
   return doc->Find("state")->as_string();
+}
+
+/// ConnectLoopback whose reads give up after 5 s, so a server that
+/// neither answers nor closes fails the test instead of hanging it.
+int ConnectRaw(uint16_t port) {
+  const int fd = ConnectLoopback(port);
+  if (fd >= 0) {
+    timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  return fd;
+}
+
+bool SendRaw(int fd, const std::string& bytes) {
+  return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(bytes.size());
+}
+
+/// Reads one response off a keep-alive connection and returns its status,
+/// or 0 when the connection closed (or stayed silent 5 s) first.
+int ReadOneResponse(int fd) {
+  std::string raw;
+  char buf[4096];
+  size_t header_end = std::string::npos;
+  size_t length = 0;
+  while (header_end == std::string::npos ||
+         raw.size() < header_end + 4 + length) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) {
+      return 0;
+    }
+    raw.append(buf, static_cast<size_t>(n));
+    header_end = raw.find("\r\n\r\n");
+    const size_t field = raw.find("Content-Length: ");
+    if (field < header_end) {
+      length = std::strtoul(raw.c_str() + field + 16, nullptr, 10);
+    }
+  }
+  return std::atoi(raw.c_str() + 9);  // "HTTP/1.1 NNN ..."
+}
+
+/// Whether the server closes `fd` before `deadline`.
+bool ClosedBy(int fd, std::chrono::steady_clock::time_point deadline) {
+  char buf[256];
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) {
+      return false;
+    }
+    pollfd pfd{fd, static_cast<short>(POLLIN), 0};
+    if (::poll(&pfd, 1, static_cast<int>(left)) > 0 &&
+        ::read(fd, buf, sizeof(buf)) <= 0) {
+      return true;  // EOF or reset
+    }
+  }
 }
 
 // One slot, a two-deep queue: fill both, pin the 429 + Retry-After
@@ -235,6 +298,41 @@ TEST(ServerOverloadTest, StreamCapIsEnforced) {
   EXPECT_EQ(SendHttpRequest(port, "DELETE", "/v1/streams/a").status, 200);
   EXPECT_EQ(SendHttpRequest(port, "POST", "/v1/streams/c", config).status,
             201);
+  server->Stop();
+}
+
+// A connection that stops part way through a request, or never sends a
+// byte, is closed after net::HttpServer::kRequestTimeout (2 s), so stalled
+// clients cannot pin connection slots forever. A keep-alive connection
+// idle between complete requests is not a stall: after 3 s it still gets
+// its next response.
+TEST(ServerOverloadTest, StalledConnectionsCloseIdleKeepAliveSurvives) {
+  auto started = net::AnomalyServer::Start(net::AnomalyServerOptions{});
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<net::AnomalyServer> server = std::move(started).value();
+  const std::string healthz = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+
+  const int idle = ConnectRaw(server->port());
+  ASSERT_GE(idle, 0);
+  ASSERT_TRUE(SendRaw(idle, healthz));
+  ASSERT_EQ(ReadOneResponse(idle), 200);
+
+  const int partial = ConnectRaw(server->port());
+  const int silent = ConnectRaw(server->port());
+  ASSERT_GE(partial, 0);
+  ASSERT_GE(silent, 0);
+  ASSERT_TRUE(SendRaw(partial, "GET /healthz HTTP/1.1\r\n"));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  EXPECT_TRUE(ClosedBy(partial, deadline)) << "partial request kept open";
+  EXPECT_TRUE(ClosedBy(silent, deadline)) << "silent connection kept open";
+
+  std::this_thread::sleep_until(deadline);
+  ASSERT_TRUE(SendRaw(idle, healthz));
+  EXPECT_EQ(ReadOneResponse(idle), 200);
+  ::close(idle);
+  ::close(partial);
+  ::close(silent);
   server->Stop();
 }
 

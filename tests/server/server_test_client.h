@@ -40,17 +40,11 @@ struct TestHttpResponse {
   }
 };
 
-/// Sends one HTTP/1.1 request to 127.0.0.1:port and reads the full
-/// response. `extra_headers` are appended verbatim ("Name: value" pairs).
-inline TestHttpResponse SendHttpRequest(
-    uint16_t port, const std::string& method, const std::string& target,
-    const std::string& body = std::string(),
-    const std::vector<std::pair<std::string, std::string>>& extra_headers =
-        {}) {
-  TestHttpResponse out;
+/// Connected TCP socket to 127.0.0.1:port, or -1.
+inline int ConnectLoopback(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return out;
+    return -1;
   }
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -60,6 +54,21 @@ inline TestHttpResponse SendHttpRequest(
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends one HTTP/1.1 request to 127.0.0.1:port and reads the full
+/// response. `extra_headers` are appended verbatim ("Name: value" pairs).
+inline TestHttpResponse SendHttpRequest(
+    uint16_t port, const std::string& method, const std::string& target,
+    const std::string& body = std::string(),
+    const std::vector<std::pair<std::string, std::string>>& extra_headers =
+        {}) {
+  TestHttpResponse out;
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) {
     return out;
   }
 
