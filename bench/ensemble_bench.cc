@@ -1,11 +1,12 @@
-// Ensemble-engine benchmark: the shared-substrate batched path (one
+// Ensemble-engine benchmark: RunEnsemble's shared substrate (one
 // RollingStats prefix-sum per series, one SaxZPlane per distinct
 // (window, paa) key reused across alphabets) measured against the naive
-// path that runs every grid config through its own single-query pipeline.
-// Correctness is CHECKed on every configuration — bit-identical ensemble
-// scores, identical anomaly intervals, deterministic cache accounting —
-// and the timings are emitted as machine-readable JSON (default
-// BENCH_ensemble.json) so later PRs have a perf trajectory.
+// path that runs the grid one config at a time through the single-query
+// pipeline (DecomposeSeries). Correctness is CHECKed on every
+// configuration — each config's density curve bit-identical to its
+// DecomposeSeries run, deterministic cache accounting — and the timings
+// are emitted as machine-readable JSON (default BENCH_ensemble.json) so
+// later PRs have a perf trajectory.
 //
 //   ensemble_bench [--smoke] [--out PATH] [--threads N]
 //
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/pipeline.h"
 #include "datasets/ecg.h"
 #include "datasets/power_demand.h"
 #include "datasets/simple.h"
@@ -77,25 +79,19 @@ std::string JsonRow(const EnsembleRow& row) {
       static_cast<unsigned long long>(row.cache_misses));
 }
 
-bool SameDetection(const EnsembleDetection& a, const EnsembleDetection& b) {
-  if (a.score != b.score || a.configs_used != b.configs_used ||
-      a.anomalies.size() != b.anomalies.size()) {
-    return false;
+/// The naive path: the grid one config at a time through the single-query
+/// pipeline. One density curve per config, empty where DecomposeSeries
+/// fails (the configs the engine skips).
+std::vector<std::vector<uint32_t>> RunNaive(std::span<const double> series,
+                                            const EnsembleOptions& options) {
+  std::vector<std::vector<uint32_t>> curves;
+  curves.reserve(options.configs.size());
+  for (const EnsembleConfig& config : options.configs) {
+    auto decomposition = DecomposeSeries(series, options.SaxFor(config));
+    curves.push_back(decomposition.ok() ? std::move(decomposition->density)
+                                        : std::vector<uint32_t>{});
   }
-  for (size_t i = 0; i < a.anomalies.size(); ++i) {
-    if (!(a.anomalies[i].span == b.anomalies[i].span) ||
-        a.anomalies[i].min_score != b.anomalies[i].min_score ||
-        a.anomalies[i].mean_score != b.anomalies[i].mean_score) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.configs.size(); ++i) {
-    if (a.configs[i].density != b.configs[i].density ||
-        a.configs[i].ok != b.configs[i].ok) {
-      return false;
-    }
-  }
-  return true;
+  return curves;
 }
 
 EnsembleRow BenchGrid(const std::string& name,
@@ -105,24 +101,28 @@ EnsembleRow BenchGrid(const std::string& name,
   EnsembleOptions shared;
   shared.configs = grid;
   shared.num_threads = num_threads;
-  shared.share_substrate = true;
-  EnsembleOptions naive = shared;
-  naive.share_substrate = false;
 
-  // Correctness first: the batched path must reproduce the naive path's
-  // scores, per-config curves, and anomaly intervals bit for bit, and its
+  // Correctness first: every config's curve from the shared substrate must
+  // be the one its own DecomposeSeries run produces, bit for bit, and the
   // cache accounting must match the grid's key structure exactly.
   const uint64_t hits_before =
       obs::GlobalMetrics().counter("ensemble.cache.hit").value();
   const auto shared_run = RunEnsemble(series, shared);
-  const auto naive_run = RunEnsemble(series, naive);
-  bench::Check(shared_run.ok() && naive_run.ok(),
-               name + ": both ensemble paths succeed");
-  if (!shared_run.ok() || !naive_run.ok()) {
+  bench::Check(shared_run.ok(), name + ": the ensemble run succeeds");
+  if (!shared_run.ok()) {
     return EnsembleRow{name, "failed", 1.0, 1.0, grid.size(), 0, 0};
   }
-  bench::Check(SameDetection(*shared_run, *naive_run),
-               name + ": shared-substrate results bit-identical to naive");
+  const std::vector<std::vector<uint32_t>> naive_curves =
+      RunNaive(series, shared);
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const EnsembleConfigResult& result = shared_run->configs[i];
+    bench::Check(result.ok == !naive_curves[i].empty() &&
+                     result.density == naive_curves[i],
+                 StrFormat("%s: config (w=%zu paa=%zu a=%zu) density "
+                           "bit-identical to DecomposeSeries",
+                           name.c_str(), grid[i].window, grid[i].paa_size,
+                           grid[i].alphabet_size));
+  }
 
   // Recompute the grid's key structure the way the engine defines it: a
   // config is runnable iff its SaxOptions validate against this series.
@@ -148,8 +148,6 @@ EnsembleRow BenchGrid(const std::string& name,
                              shared_run->cache_hits)));
   bench::Check(shared_run->cache_hits > 0,
                name + ": the grid exercises z-plane sharing (hits > 0)");
-  bench::Check(naive_run->cache_hits == 0 && naive_run->cache_misses == 0,
-               name + ": naive path touches no cache");
   if (obs::kEnabled) {  // the registry is compiled away under GVA_OBS=OFF
     const uint64_t hits_after =
         obs::GlobalMetrics().counter("ensemble.cache.hit").value();
@@ -165,8 +163,7 @@ EnsembleRow BenchGrid(const std::string& name,
   row.cache_hits = shared_run->cache_hits;
   row.cache_misses = shared_run->cache_misses;
   row.naive_s = BestOf(reps, [&] {
-    const auto r = RunEnsemble(series, naive);
-    if (!r.ok() || r->score.empty()) {
+    if (RunNaive(series, shared).empty()) {
       std::abort();  // keep the optimizer honest
     }
   });
@@ -236,11 +233,14 @@ int Run(bool smoke, const std::string& out_path, size_t num_threads) {
     std::string json = "{\n  \"bench\": \"ensemble_bench\",\n";
     json += StrFormat("  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     json +=
-        "  \"note\": \"naive = every grid config through its own "
-        "discretize->Sequitur->density pipeline; shared = one RollingStats "
+        "  \"note\": \"naive = the grid one config at a time through "
+        "DecomposeSeries (discretize->Sequitur->density), always serial, "
+        "so the _mt row compares a serial naive column with a shared run "
+        "on every hardware thread; shared = RunEnsemble: one RollingStats "
         "prefix-sum per series plus one SaxZPlane per distinct (window, "
-        "paa) key reused across alphabet-only-differing configs. Results "
-        "are CHECKed bit-identical. cache_hits + cache_misses = runnable "
+        "paa) key reused across alphabet-only-differing configs. Each "
+        "config's density curve is CHECKed bit-identical to its "
+        "DecomposeSeries run. cache_hits + cache_misses = runnable "
         "configs.\",\n";
     json += "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {

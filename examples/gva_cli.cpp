@@ -40,8 +40,6 @@
 //                   falls back to the resolved single value). Without
 //                   --grid and without explicit --window/--paa/--alphabet,
 //                   an automatic grid around the suggested window is used.
-//   --no-share      disable substrate sharing (per-config pipelines; same
-//                   results, used for benchmarking the shared path)
 //
 // Observability (see DESIGN.md §6 and §12):
 //   --trace PATH    capture a Chrome trace-event JSON (chrome://tracing)
@@ -114,7 +112,7 @@ int Usage() {
                "<series.csv|demo:ecg|demo:power|-> "
                "[--window N --paa N --alphabet N --column N --top N "
                "--threshold F --approx --threads N --csv-out PATH "
-               "--ensemble --grid SPEC --no-share "
+               "--ensemble --grid SPEC "
                "--horizon N --report-every N "
                "--backend scalar|avx2|neon|auto "
                "--trace PATH --metrics PATH --telemetry-port N --quiet]\n");
@@ -122,8 +120,7 @@ int Usage() {
 }
 
 bool IsBooleanFlag(const std::string& flag) {
-  return flag == "approx" || flag == "quiet" || flag == "ensemble" ||
-         flag == "no-share";
+  return flag == "approx" || flag == "quiet" || flag == "ensemble";
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -320,7 +317,6 @@ int RunEnsembleCommand(const Args& args, const TimeSeries& series) {
   options.anomaly.threshold_fraction = args.get_double("threshold", 0.05);
   options.anomaly.max_anomalies = args.get_size("top", 3);
   options.num_threads = args.get_size("threads", 1);
-  options.share_substrate = !args.has_flag("no-share");
 
   const bool single_config_flags = args.has_flag("window") ||
                                    args.has_flag("paa") ||

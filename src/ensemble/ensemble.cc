@@ -4,7 +4,6 @@
 #include <chrono>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "core/pipeline.h"
@@ -231,21 +230,19 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
   // then one SaxZPlane per distinct (window, paa) key, rows computed on the
   // pool. Alphabet-only-differing configs share a plane — that sharing is
   // the cache, and its accounting is deterministic by construction.
-  std::optional<RollingStats> stats;
   std::map<PlaneKey, SaxZPlane> planes;
   std::map<PlaneKey, Status> plane_errors;
-  if (options.share_substrate) {
+  {
     GVA_OBS_SPAN("ensemble.substrate");
-    stats.emplace(series);
+    const RollingStats stats(series);
     for (size_t idx : canonical) {
       const PlaneKey key = KeyOf(configs[idx]);
       const bool first_for_key =
           planes.find(key) == planes.end() &&
           plane_errors.find(key) == plane_errors.end();
       if (first_for_key) {
-        StatusOr<SaxZPlane> plane =
-            ComputeSaxZPlane(series, options.SaxFor(configs[idx]), &*stats,
-                             &pool);
+        StatusOr<SaxZPlane> plane = ComputeSaxZPlane(
+            series, options.SaxFor(configs[idx]), &stats, &pool);
         if (plane.ok()) {
           planes.emplace(key, std::move(plane).value());
         } else {
@@ -275,9 +272,6 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
             const auto start = MonotonicClock::now();
             StatusOr<GrammarDecomposition> decomposition =
                 [&]() -> StatusOr<GrammarDecomposition> {
-              if (!options.share_substrate) {
-                return DecomposeSeries(series, sax);
-              }
               auto plane_error = plane_errors.find(KeyOf(slot.config));
               if (plane_error != plane_errors.end()) {
                 return plane_error->second;

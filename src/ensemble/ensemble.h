@@ -56,12 +56,6 @@ struct EnsembleOptions {
   /// nested row-parallelism inside the shared z-plane builds); 0 = all
   /// hardware threads. Results are bit-identical for every value.
   size_t num_threads = 1;
-  /// Share substrate across configs: one RollingStats prefix-sum per
-  /// series, plus a keyed z-plane cache so configs that differ only in
-  /// alphabet skip the O(n * paa) PAA recomputation. Turning this off runs
-  /// each config through the plain single-query pipeline — same results,
-  /// used as the baseline by bench/ensemble_bench.
-  bool share_substrate = true;
 
   /// The SaxOptions a given grid point expands to.
   SaxOptions SaxFor(const EnsembleConfig& config) const;
@@ -86,7 +80,7 @@ struct EnsembleConfigResult {
   uint64_t wall_us = 0;
   /// Whether the config's SAX z-plane came out of the substrate cache
   /// (true for every config after the canonically-first one per
-  /// (window, paa) key; always false without substrate sharing).
+  /// (window, paa) key).
   bool cache_hit = false;
 };
 

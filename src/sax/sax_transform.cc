@@ -57,13 +57,23 @@ namespace {
 
 constexpr double kMachEps = std::numeric_limits<double>::epsilon();
 
+/// Validates `opts` and that `series` holds at least one window.
+Status ValidateSeries(std::span<const double> series, const SaxOptions& opts) {
+  GVA_RETURN_IF_ERROR(opts.Validate());
+  if (series.size() < opts.window) {
+    return Status::InvalidArgument(
+        StrFormat("series length %zu shorter than window %zu", series.size(),
+                  opts.window));
+  }
+  return Status::Ok();
+}
+
 /// Maps a row of z-space PAA values to letters under `alphabet`, guarding
 /// each value against the breakpoints adjacent to its chosen region: the
 /// reference path's value differs from z[j] by at most err[j], so a value
 /// that close to a cut could land on the other side there. Returns false
-/// when any guard fires (caller must use the reference path). Shared by the
-/// inline fast path and the precomputed-plane path so their decisions are
-/// identical by construction.
+/// when any guard fires (caller must use the reference path). Called only
+/// by SaxWord, so every entry point makes the same letter decisions.
 bool MapLettersFromZ(const double* z, const double* err, size_t paa,
                      const NormalAlphabet& alphabet, std::string& word) {
   const auto& cuts = alphabet.breakpoints();
@@ -113,19 +123,25 @@ double FractionalSegmentSum(const Source& src, size_t pos,
   return sum;
 }
 
-/// The alphabet-independent fast path, shared verbatim by the batch
-/// (IncrementalDiscretizer) and online (OnlineSaxDiscretizer) kernels so
-/// their guard decisions and emitted z values use the same arithmetic.
-/// Computes the z-space PAA values and conservative error bounds of the
-/// window at `pos` into z[0..paa) / err[0..paa). Returns false when the
-/// flat-window decision falls inside its numerical guard (the caller must
-/// use the reference path).
+/// The alphabet-independent half of the word function: computes the z-space
+/// PAA values and conservative error bounds of the window at `pos` into
+/// z[0..paa) / err[0..paa). Every z-row — Discretize's, a SaxZPlane row,
+/// the online ring's — comes from here, so their guard decisions and z
+/// values use the same arithmetic. Returns false when the window's mean or
+/// variance is not finite or the flat-window decision falls inside its
+/// numerical guard (the caller must use the reference path).
 template <typename Source>
 bool ZRowFromSource(const Source& src, const SaxPaaGeometry& g,
                     double znorm_epsilon, size_t pos, double* z, double* err) {
   const double n = static_cast<double>(g.window);
   const double mean = src.Sum(pos, g.window) / n;
   double variance = src.SumSq(pos, g.window) / n - mean * mean;
+  // One non-finite sample poisons every later prefix sum, and NaN passes
+  // every guard below (all its comparisons are false), so such windows go
+  // to the reference path, which reads the samples themselves.
+  if (!std::isfinite(mean) || !std::isfinite(variance)) {
+    return false;
+  }
   if (variance < 0.0) {  // numerical noise on near-constant ranges
     variance = 0.0;
   }
@@ -253,39 +269,70 @@ struct RingSource {
   }
 };
 
-StatusOr<SaxRecords> DiscretizeImpl(std::span<const double> series,
-                                    const SaxOptions& opts,
-                                    NumerosityReduction numerosity) {
-  GVA_RETURN_IF_ERROR(opts.Validate());
-  if (series.size() < opts.window) {
-    return Status::InvalidArgument(
-        StrFormat("series length %zu shorter than window %zu", series.size(),
-                  opts.window));
+/// The one SAX word function. `z`/`err` hold the window's z-row and
+/// `row_ok` says whether its stats guard held (ZRowFromSource's return, or
+/// !SaxZPlane::fallback[row]). Writes MapLettersFromZ's letters when the
+/// row and every letter guard hold, and otherwise the reference
+/// SaxWordForWindow over `window()`, which materializes the window only
+/// then. Returns false when the reference computed the word.
+template <typename Window>
+bool SaxWord(bool row_ok, const double* z, const double* err,
+             const SaxOptions& opts, const NormalAlphabet& alphabet,
+             const Window& window, std::string& word) {
+  if (row_ok && MapLettersFromZ(z, err, opts.paa_size, alphabet, word)) {
+    return true;
   }
-  const NormalAlphabet alphabet(opts.alphabet_size);
-  const size_t windows = NumSlidingWindows(series.size(), opts.window);
-  // The discretizer's constructor builds the rolling-moment (z-norm) table;
-  // the loop below is the word extraction proper. Separate spans let a
-  // trace show where discretization time actually goes.
-  auto discretizer = [&] {
-    GVA_OBS_SPAN("sax.znorm_stats");
-    return IncrementalDiscretizer(series, opts, alphabet);
-  }();
-  GVA_OBS_SPAN("sax.words");
+  word = SaxWordForWindow(window(), opts, alphabet);
+  return false;
+}
+
+/// The records loop of the batch entry points: `word_at(pos, word)` writes
+/// the word of the window at `pos` into one reused buffer, and only the
+/// words KeepWord keeps are copied into the records.
+template <typename WordAt>
+SaxRecords CollectRecords(size_t windows, const SaxOptions& opts,
+                          NumerosityReduction numerosity,
+                          const NormalAlphabet& alphabet,
+                          const WordAt& word_at) {
   SaxRecords records;
   records.words.reserve(windows);
   records.offsets.reserve(windows);
-  // One flat buffer reused for every window; only kept words are copied
-  // into the records.
   std::string word(opts.paa_size, 'a');
   for (size_t pos = 0; pos < windows; ++pos) {
-    discretizer.WordAt(pos, word);
+    word_at(pos, word);
     if (KeepWord(records.words, word, numerosity, alphabet)) {
       records.words.push_back(word);
       records.offsets.push_back(pos);
     }
   }
   return records;
+}
+
+StatusOr<SaxRecords> DiscretizeImpl(std::span<const double> series,
+                                    const SaxOptions& opts,
+                                    NumerosityReduction numerosity) {
+  GVA_RETURN_IF_ERROR(ValidateSeries(series, opts));
+  const NormalAlphabet alphabet(opts.alphabet_size);
+  const SaxPaaGeometry geometry(opts);
+  // The rolling-moment (z-norm) table first, then the word extraction
+  // proper: separate spans let a trace show where discretization time
+  // actually goes.
+  const RollingStats stats = [&] {
+    GVA_OBS_SPAN("sax.znorm_stats");
+    return RollingStats(series);
+  }();
+  GVA_OBS_SPAN("sax.words");
+  const SpanSource src{series, &stats, &backend::ActiveBackend()};
+  std::vector<double> z(opts.paa_size);
+  std::vector<double> err(opts.paa_size);
+  return CollectRecords(
+      NumSlidingWindows(series.size(), opts.window), opts, numerosity,
+      alphabet, [&](size_t pos, std::string& word) {
+        const bool row_ok = ZRowFromSource(src, geometry, opts.znorm_epsilon,
+                                           pos, z.data(), err.data());
+        SaxWord(row_ok, z.data(), err.data(), opts, alphabet,
+                [&] { return WindowAt(series, pos, opts.window); }, word);
+      });
 }
 
 }  // namespace
@@ -308,42 +355,6 @@ SaxPaaGeometry::SaxPaaGeometry(const SaxOptions& opts)
       segments.push_back(seg);
     }
   }
-}
-
-IncrementalDiscretizer::IncrementalDiscretizer(
-    std::span<const double> series, const SaxOptions& opts,
-    const NormalAlphabet& alphabet, const RollingStats* shared_stats,
-    const backend::KernelBackend* kernel_backend)
-    : series_(series),
-      owned_stats_(shared_stats == nullptr
-                       ? std::optional<RollingStats>(std::in_place, series)
-                       : std::nullopt),
-      stats_(shared_stats != nullptr ? shared_stats : &*owned_stats_),
-      opts_(opts),
-      alphabet_(alphabet),
-      backend_(kernel_backend != nullptr ? kernel_backend
-                                         : &backend::ActiveBackend()),
-      geometry_(opts) {}
-
-void IncrementalDiscretizer::WordAt(size_t pos, std::string& word) {
-  if (!FastWordAt(pos, word)) {
-    word = SaxWordForWindow(WindowAt(series_, pos, geometry_.window), opts_,
-                            alphabet_);
-  }
-}
-
-bool IncrementalDiscretizer::ZRowAt(size_t pos, double* z, double* err) const {
-  const SpanSource src{series_, stats_, backend_};
-  return ZRowFromSource(src, geometry_, opts_.znorm_epsilon, pos, z, err);
-}
-
-bool IncrementalDiscretizer::FastWordAt(size_t pos, std::string& word) const {
-  thread_local std::vector<double> z;
-  thread_local std::vector<double> err;
-  z.resize(geometry_.paa);
-  err.resize(geometry_.paa);
-  return ZRowAt(pos, z.data(), err.data()) &&
-         MapLettersFromZ(z.data(), err.data(), geometry_.paa, alphabet_, word);
 }
 
 OnlineSaxDiscretizer::OnlineSaxDiscretizer(const SaxOptions& opts)
@@ -390,25 +401,22 @@ bool OnlineSaxDiscretizer::Push(double value, std::string& word, size_t* pos) {
   const size_t at = pushed_ - w;
   *pos = at;
   word.resize(opts_.paa_size);
-  if (!FastWordAt(at, word)) {
-    // Materialize the window from the ring for the reference path. The w
-    // consecutive stream indices [at, at + w) occupy each ring slot
-    // exactly once.
+  const RingSource src{&ring_, &psum_, &psumsq_, w};
+  const bool row_ok = ZRowFromSource(src, geometry_, opts_.znorm_epsilon, at,
+                                     zrow_.data(), zerr_.data());
+  // The reference path reads the window materialized from the ring: the w
+  // consecutive stream indices [at, at + w) occupy each ring slot once.
+  const auto window = [&] {
     for (size_t i = 0; i < w; ++i) {
       scratch_[i] = ring_[(at + i) % w];
     }
-    word = SaxWordForWindow(scratch_, opts_, alphabet_);
+    return std::span<const double>(scratch_);
+  };
+  if (!SaxWord(row_ok, zrow_.data(), zerr_.data(), opts_, alphabet_, window,
+               word)) {
     ++fallback_words_;
   }
   return true;
-}
-
-bool OnlineSaxDiscretizer::FastWordAt(size_t pos, std::string& word) {
-  const RingSource src{&ring_, &psum_, &psumsq_, opts_.window};
-  return ZRowFromSource(src, geometry_, opts_.znorm_epsilon, pos, zrow_.data(),
-                        zerr_.data()) &&
-         MapLettersFromZ(zrow_.data(), zerr_.data(), geometry_.paa, alphabet_,
-                         word);
 }
 
 StatusOr<SaxRecords> Discretize(std::span<const double> series,
@@ -425,21 +433,21 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
                                      const SaxOptions& opts,
                                      const RollingStats* shared_stats,
                                      ThreadPool* pool) {
-  GVA_RETURN_IF_ERROR(opts.Validate());
-  if (series.size() < opts.window) {
-    return Status::InvalidArgument(
-        StrFormat("series length %zu shorter than window %zu", series.size(),
-                  opts.window));
-  }
+  GVA_RETURN_IF_ERROR(ValidateSeries(series, opts));
   if (shared_stats != nullptr && shared_stats->size() != series.size()) {
     return Status::InvalidArgument(
         StrFormat("shared RollingStats covers %zu points, series has %zu",
                   shared_stats->size(), series.size()));
   }
   GVA_OBS_SPAN("sax.zplane");
-  const NormalAlphabet alphabet(opts.alphabet_size);
-  const IncrementalDiscretizer discretizer(series, opts, alphabet,
-                                           shared_stats);
+  std::optional<RollingStats> owned_stats;
+  if (shared_stats == nullptr) {
+    owned_stats.emplace(series);
+  }
+  const SpanSource src{series,
+                       shared_stats != nullptr ? shared_stats : &*owned_stats,
+                       &backend::ActiveBackend()};
+  const SaxPaaGeometry geometry(opts);
   SaxZPlane plane;
   plane.window = opts.window;
   plane.paa_size = opts.paa_size;
@@ -450,9 +458,9 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
   plane.fallback.assign(plane.positions, 0);
   const auto rows = [&](size_t row_begin, size_t row_end, size_t /*chunk*/) {
     for (size_t pos = row_begin; pos < row_end; ++pos) {
-      double* z = plane.z.data() + pos * plane.paa_size;
-      double* err = plane.z_err.data() + pos * plane.paa_size;
-      if (!discretizer.ZRowAt(pos, z, err)) {
+      const size_t at = pos * plane.paa_size;
+      if (!ZRowFromSource(src, geometry, opts.znorm_epsilon, pos,
+                          plane.z.data() + at, plane.z_err.data() + at)) {
         plane.fallback[pos] = 1;
       }
     }
@@ -473,12 +481,7 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
 StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
                                           const SaxOptions& opts,
                                           const SaxZPlane& plane) {
-  GVA_RETURN_IF_ERROR(opts.Validate());
-  if (series.size() < opts.window) {
-    return Status::InvalidArgument(
-        StrFormat("series length %zu shorter than window %zu", series.size(),
-                  opts.window));
-  }
+  GVA_RETURN_IF_ERROR(ValidateSeries(series, opts));
   const size_t windows = NumSlidingWindows(series.size(), opts.window);
   if (!plane.Matches(opts) || plane.positions != windows) {
     return Status::InvalidArgument(StrFormat(
@@ -489,26 +492,14 @@ StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
   }
   GVA_OBS_SPAN("sax.words");
   const NormalAlphabet alphabet(opts.alphabet_size);
-  SaxRecords records;
-  records.words.reserve(windows);
-  records.offsets.reserve(windows);
-  std::string word(opts.paa_size, 'a');
-  for (size_t pos = 0; pos < windows; ++pos) {
-    const bool fast =
-        plane.fallback[pos] == 0 &&
-        MapLettersFromZ(plane.z.data() + pos * plane.paa_size,
-                        plane.z_err.data() + pos * plane.paa_size,
-                        plane.paa_size, alphabet, word);
-    if (!fast) {
-      word = SaxWordForWindow(WindowAt(series, pos, opts.window), opts,
-                              alphabet);
-    }
-    if (KeepWord(records.words, word, opts.numerosity, alphabet)) {
-      records.words.push_back(word);
-      records.offsets.push_back(pos);
-    }
-  }
-  return records;
+  return CollectRecords(
+      windows, opts, opts.numerosity, alphabet,
+      [&](size_t pos, std::string& word) {
+        const size_t at = pos * plane.paa_size;
+        SaxWord(plane.fallback[pos] == 0, plane.z.data() + at,
+                plane.z_err.data() + at, opts, alphabet,
+                [&] { return WindowAt(series, pos, opts.window); }, word);
+      });
 }
 
 }  // namespace gva

@@ -2,7 +2,6 @@
 #define GVA_SAX_SAX_TRANSFORM_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,10 +16,6 @@
 namespace gva {
 
 class ThreadPool;
-
-namespace backend {
-struct KernelBackend;
-}  // namespace backend
 
 /// How consecutive identical SAX words are collapsed (paper Section 3.2).
 enum class NumerosityReduction {
@@ -87,6 +82,8 @@ struct SaxRecords {
 
 /// Discretizes one z-normalized window into a SAX word of length
 /// `opts.paa_size` using `alphabet` (must have size opts.alphabet_size).
+/// This is the reference path: every entry point below emits, for every
+/// window, exactly the word this function computes on it.
 std::string SaxWordForWindow(std::span<const double> window,
                              const SaxOptions& opts,
                              const NormalAlphabet& alphabet);
@@ -94,6 +91,21 @@ std::string SaxWordForWindow(std::span<const double> window,
 /// Full sliding-window discretization with the numerosity reduction from
 /// `opts` (paper Sections 3.1-3.2). Fails when `opts` is invalid or the
 /// series is shorter than the window.
+///
+/// Every entry point in this header computes a window's word through one
+/// word function. It computes each z-space PAA value algebraically from
+/// raw-value range sums — for segment mean s, window mean mu and stddev
+/// sigma the z-normalized PAA value is (s - mu) / sigma — instead of
+/// materializing the z-normalized window and averaging it the way the
+/// reference path (SaxWordForWindow) does. The two orderings agree only up
+/// to rounding noise, so every *decision* (flat-vs-normalized window,
+/// value-vs-breakpoint) is guarded by a conservative error bound; a window
+/// whose decision falls inside the bound, or whose mean or variance is not
+/// finite, is recomputed through the reference path. That keeps the output
+/// byte-identical to the reference for every input while the guard
+/// virtually never fires on finite real data (the bound is orders of
+/// magnitude below typical breakpoint clearances). After one O(n)
+/// prefix-sum build each word costs O(paa_size).
 StatusOr<SaxRecords> Discretize(std::span<const double> series,
                                 const SaxOptions& opts);
 
@@ -104,13 +116,12 @@ StatusOr<SaxRecords> DiscretizeAllWindows(std::span<const double> series,
 
 /// The alphabet-independent half of sliding-window discretization: for every
 /// window position, the z-space PAA values of the window's segments together
-/// with the conservative error bounds the incremental kernel derives for
-/// them. Depends only on (window, paa_size, znorm_epsilon) — NOT on the
-/// alphabet — so one plane is reusable by every discretization that differs
-/// only in alphabet size (the ensemble engine's cache key). Rows whose
-/// flat-window decision fell inside its numerical guard carry no z values
-/// and are marked `fallback`; consumers recompute those windows through the
-/// reference path (SaxWordForWindow), exactly as Discretize() itself does.
+/// with their conservative error bounds. Depends only on (window, paa_size,
+/// znorm_epsilon) — NOT on the alphabet — so one plane is reusable by every
+/// discretization that differs only in alphabet size (the ensemble engine's
+/// cache key). Rows whose stats guard fired carry no z values and are marked
+/// `fallback`; DiscretizeWithZPlane computes those windows through the
+/// reference path, exactly as Discretize() itself does.
 struct SaxZPlane {
   size_t window = 0;
   size_t paa_size = 0;
@@ -146,19 +157,17 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
                                      const RollingStats* shared_stats = nullptr,
                                      ThreadPool* pool = nullptr);
 
-/// Sliding-window discretization that reads PAA z values from a
-/// precomputed plane instead of recomputing them per window. Letter mapping
-/// still guards against `opts`' alphabet breakpoints and falls back to the
-/// reference path when a value is too close to a cut, so the output is
-/// byte-identical to Discretize(series, opts) for every input. Fails when
-/// the plane's geometry does not match `opts`.
+/// Sliding-window discretization that reads each window's z-row from a
+/// precomputed plane instead of recomputing it. The word function is the
+/// one Discretize uses, so the output is byte-identical to
+/// Discretize(series, opts) for every input. Fails when the plane's
+/// geometry does not match `opts`.
 StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
                                           const SaxOptions& opts,
                                           const SaxZPlane& plane);
 
-/// Per-segment PAA geometry shared by the batch and online incremental
-/// discretizers. Depends only on (window, paa_size) and is precomputed
-/// once per discretizer.
+/// Per-segment PAA geometry of the z-row kernel. Depends only on
+/// (window, paa_size) and is precomputed once per discretization.
 struct SaxPaaGeometry {
   struct Segment {
     double lo;
@@ -176,76 +185,13 @@ struct SaxPaaGeometry {
   std::vector<Segment> segments;  // only for the non-divisible case
 };
 
-/// Incremental per-window discretization kernel over a fully materialized
-/// series: the series prefix sums plus the per-segment PAA geometry are
-/// built once, then each window's SAX word costs O(paa_size).
-///
-/// The kernel computes each z-space PAA value algebraically from raw-value
-/// range sums — for segment mean s, window mean mu and stddev sigma the
-/// z-normalized PAA value is (s - mu) / sigma — instead of materializing
-/// the z-normalized window and averaging it the way the reference path
-/// (SaxWordForWindow) does. The two orderings agree only up to rounding
-/// noise, so every *decision* (flat-vs-normalized window, value-vs-
-/// breakpoint) is guarded by a conservative error bound; a window whose
-/// decision falls inside the bound is recomputed through the reference
-/// path. That keeps the output byte-identical to the reference for every
-/// input while the guard virtually never fires on real data (the bound is
-/// orders of magnitude below typical breakpoint clearances).
-///
-/// Holds references to `series`, `opts`, and `alphabet`; all three must
-/// outlive the discretizer. For unbounded streams (no materialized series)
-/// use OnlineSaxDiscretizer below.
-class IncrementalDiscretizer {
- public:
-  /// `shared_stats`, when non-null, must be a RollingStats over exactly
-  /// `series`; the discretizer then skips its own prefix-sum build. The
-  /// prefix arrays are deterministic functions of the series, so shared and
-  /// owned tables yield bit-identical words. `kernel_backend` selects the
-  /// backend whose PaaSegmentSums kernel batches the divisible-case segment
-  /// sums (null = the process-wide backend::ActiveBackend()); that kernel
-  /// is bit-exact in every backend, so the emitted words are byte-identical
-  /// regardless of dispatch.
-  IncrementalDiscretizer(std::span<const double> series,
-                         const SaxOptions& opts,
-                         const NormalAlphabet& alphabet,
-                         const RollingStats* shared_stats = nullptr,
-                         const backend::KernelBackend* kernel_backend =
-                             nullptr);
-
-  /// Computes the SAX word of the window at `pos` into `word` (which must
-  /// have length paa_size). Falls back to the reference path internally
-  /// when a guard fires, so the result is always byte-identical to
-  /// SaxWordForWindow on the same window.
-  void WordAt(size_t pos, std::string& word);
-
-  /// The alphabet-independent half of the fast path: the z-space PAA values
-  /// of the window at `pos` and their error bounds, written to z[0..paa)
-  /// and err[0..paa). Returns false when the flat-window decision falls
-  /// inside its numerical guard (the row must use the reference path).
-  /// Const and writes only through the caller's pointers, so concurrent
-  /// calls on one instance are race-free.
-  bool ZRowAt(size_t pos, double* z, double* err) const;
-
- private:
-  bool FastWordAt(size_t pos, std::string& word) const;
-
-  std::span<const double> series_;
-  std::optional<RollingStats> owned_stats_;
-  const RollingStats* stats_;
-  const SaxOptions& opts_;
-  const NormalAlphabet& alphabet_;
-  const backend::KernelBackend* backend_;
-  SaxPaaGeometry geometry_;
-};
-
-/// Online (push-one-sample) incremental discretizer: the entry point the
-/// streaming engine ingests through. Bounded O(window) memory — a ring of
-/// the last `window` raw samples plus a ring of running prefix sums — and
-/// O(paa_size) per completed window, with the same byte-exactness contract
-/// as the batch kernel above: every emitted word is byte-identical to
-/// SaxWordForWindow over the same samples, because every numerical decision
-/// is guarded by a conservative error bound with fallback to the reference
-/// path (the window is materialized from the ring only when a guard fires).
+/// Online (push-one-sample) discretizer: the entry point the streaming
+/// engine ingests through. Bounded O(window) memory — a ring of the last
+/// `window` raw samples plus a ring of running prefix sums — and
+/// O(paa_size) per completed window. Each word goes through Discretize's
+/// word function over the rings, so every emitted word is byte-identical
+/// to SaxWordForWindow over the same samples (the window is materialized
+/// from the ring only when a guard fires).
 ///
 /// The prefix rings are rebased on a deterministic sample-count schedule so
 /// their magnitude — and with it the error bound — stays proportional to
@@ -265,16 +211,11 @@ class OnlineSaxDiscretizer {
   /// `word`, its start index into `*pos`, and returns true.
   bool Push(double value, std::string& word, size_t* pos);
 
-  size_t samples_seen() const { return pushed_; }
-  const SaxOptions& options() const { return opts_; }
-  const NormalAlphabet& alphabet() const { return alphabet_; }
   /// Windows that went through the reference path because a numerical
   /// guard fired (diagnostic; each costs O(window) instead of O(paa)).
   size_t fallback_words() const { return fallback_words_; }
 
  private:
-  bool FastWordAt(size_t pos, std::string& word);
-
   SaxOptions opts_;
   NormalAlphabet alphabet_;
   SaxPaaGeometry geometry_;

@@ -1,14 +1,17 @@
-// Cross-product integration matrix: every detector exposed through the
-// unified interface, on every synthetic dataset family, must run cleanly
-// and produce ranked, in-bounds anomalies. Hit requirements are asserted
-// only for the grammar-driven detectors (the paper's contribution); the
-// related-work baselines must merely behave (they are known to be weaker —
-// that is the paper's point).
+// Cross-product integration matrix: each of the library's four detectors,
+// on every synthetic dataset family, must run cleanly and produce ranked,
+// in-bounds anomalies ordered by that detector's own ranking key. Hit
+// requirements are asserted only for the grammar-driven detectors (the
+// paper's contribution); the related-work baselines must merely behave
+// (they are known to be weaker — that is the paper's point).
 
 #include <gtest/gtest.h>
 
-#include "core/detector.h"
+#include "core/compression_score.h"
 #include "core/evaluate.h"
+#include "core/frequency_detector.h"
+#include "core/rra.h"
+#include "core/rule_density_detector.h"
 #include "datasets/ecg.h"
 #include "datasets/power_demand.h"
 #include "datasets/respiration.h"
@@ -62,31 +65,98 @@ LabeledSeries MakeDataset(const std::string& name) {
   return MakeRespiration(o);
 }
 
+/// One reported anomaly: where, its rank, and the value of the detector's
+/// ranking key.
+struct RankedSpan {
+  Interval span;
+  size_t rank = 0;
+  double key = 0.0;
+};
+
+/// A detector's top-k anomalies, most anomalous first, and the direction
+/// its ranking key runs in.
+struct Ranking {
+  std::vector<RankedSpan> anomalies;
+  bool key_ascending = true;  // lower key = more anomalous
+};
+
+/// Runs `detector` with the dataset's recommended SAX options, asking for
+/// its top `k` anomalies.
+StatusOr<Ranking> Detect(const std::string& detector,
+                         const LabeledSeries& data, size_t k) {
+  Ranking out;
+  if (detector == "rule-density") {
+    DensityAnomalyOptions options;
+    options.max_anomalies = k;
+    GVA_ASSIGN_OR_RETURN(
+        DensityDetection detection,
+        DetectDensityAnomalies(data.series, data.recommended, options));
+    for (const DensityAnomaly& a : detection.anomalies) {
+      out.anomalies.push_back({a.span, a.rank, a.mean_density});
+    }
+  } else if (detector == "rra") {
+    RraOptions options;
+    options.sax = data.recommended;
+    options.top_k = k;
+    GVA_ASSIGN_OR_RETURN(RraDetection detection,
+                         FindRraDiscords(data.series, options));
+    const std::vector<DiscordRecord>& discords = detection.result.discords;
+    for (size_t i = 0; i < discords.size(); ++i) {
+      out.anomalies.push_back({discords[i].span(), i, discords[i].distance});
+    }
+    out.key_ascending = false;  // farthest nearest neighbor first
+  } else if (detector == "rare-word") {
+    FrequencyAnomalyOptions options;
+    options.sax = data.recommended;
+    options.max_anomalies = k;
+    GVA_ASSIGN_OR_RETURN(FrequencyDetection detection,
+                         DetectRareWordAnomalies(data.series, options));
+    for (const FrequencyAnomaly& a : detection.anomalies) {
+      out.anomalies.push_back({a.span, a.rank, a.mean_support});
+    }
+  } else {
+    CompressionScoreOptions options;
+    options.sax = data.recommended;
+    options.max_anomalies = k;
+    GVA_ASSIGN_OR_RETURN(CompressionDetection detection,
+                         DetectCompressionAnomalies(data.series, options));
+    for (const SegmentScore& s : detection.anomalies) {
+      out.anomalies.push_back({s.span, s.rank, s.cost});
+    }
+    out.key_ascending = false;  // worst-compressing segment first
+  }
+  return out;
+}
+
 class DetectorMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(DetectorMatrixTest, RunsAndProducesSaneRankedAnomalies) {
   const MatrixCase& param = GetParam();
   LabeledSeries data = MakeDataset(param.dataset);
-  auto detector = MakeDetectorByName(param.detector, data.recommended);
-  ASSERT_TRUE(detector.ok());
 
-  auto detection = (*detector)->Detect(data.series, 3);
+  auto detection = Detect(param.detector, data, 3);
   ASSERT_TRUE(detection.ok()) << detection.status();
-  ASSERT_FALSE(detection->anomalies.empty());
-  for (size_t i = 0; i < detection->anomalies.size(); ++i) {
-    const UnifiedAnomaly& a = detection->anomalies[i];
+  const std::vector<RankedSpan>& anomalies = detection->anomalies;
+  ASSERT_FALSE(anomalies.empty());
+  for (size_t i = 0; i < anomalies.size(); ++i) {
+    const RankedSpan& a = anomalies[i];
     EXPECT_LE(a.span.end, data.series.size());
     EXPECT_GT(a.span.length(), 0u);
     EXPECT_EQ(a.rank, i);
     if (i > 0) {
-      EXPECT_GE(detection->anomalies[i - 1].score, a.score);
+      const double prev = anomalies[i - 1].key;
+      if (detection->key_ascending) {
+        EXPECT_LE(prev, a.key);
+      } else {
+        EXPECT_GE(prev, a.key);
+      }
     }
   }
 
   // The grammar-driven detectors must find the planted anomaly.
   if (param.detector == "rule-density" || param.detector == "rra") {
     std::vector<Interval> found;
-    for (const UnifiedAnomaly& a : detection->anomalies) {
+    for (const RankedSpan& a : anomalies) {
       found.push_back(a.span);
     }
     EXPECT_GT(Recall(found, data.anomalies, data.recommended.window), 0.0)
@@ -98,7 +168,8 @@ std::vector<MatrixCase> AllCases() {
   std::vector<MatrixCase> cases;
   for (const char* dataset :
        {"ecg", "power", "video", "tek", "respiration"}) {
-    for (const std::string& detector : AvailableDetectors()) {
+    for (const char* detector :
+         {"rule-density", "rra", "rare-word", "compression"}) {
       cases.push_back({dataset, detector});
     }
   }

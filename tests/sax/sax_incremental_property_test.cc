@@ -1,12 +1,16 @@
-// Byte-exactness property tests for the incremental (prefix-sum) SAX
-// kernel: Discretize / DiscretizeAllWindows must produce exactly the
-// records a naive per-window SaxWordForWindow loop produces, across a grid
-// of (window, paa_size, alphabet_size, numerosity mode) and series shapes
-// — including the shapes designed to stress the kernel's numerical guards
+// Byte-exactness property tests for the SAX word kernel: every entry point
+// — Discretize / DiscretizeAllWindows, ComputeSaxZPlane +
+// DiscretizeWithZPlane (serial and on a thread pool), and
+// OnlineSaxDiscretizer + KeepWord — must produce exactly the records a
+// naive per-window SaxWordForWindow loop produces, across a grid of
+// (window, paa_size, alphabet_size, numerosity mode) and series shapes —
+// including the shapes designed to stress the kernel's numerical guards
 // (flat plateaus, sub-epsilon noise, large offsets that inflate the prefix
-// sums, and non-divisible window/paa geometry).
+// sums, non-divisible window/paa geometry, and non-finite samples that
+// poison every later prefix sum).
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "sax/sax_transform.h"
 #include "timeseries/sliding_window.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace gva {
 namespace {
@@ -49,6 +54,25 @@ SaxRecords ReferenceDiscretize(std::span<const double> series,
     }
     if (keep) {
       records.words.push_back(std::move(word));
+      records.offsets.push_back(pos);
+    }
+  }
+  return records;
+}
+
+/// The streaming engine's path: OnlineSaxDiscretizer's words through the
+/// same KeepWord numerosity decision the batch loops use.
+SaxRecords OnlineDiscretize(std::span<const double> series,
+                            const SaxOptions& opts) {
+  const NormalAlphabet alphabet(opts.alphabet_size);
+  OnlineSaxDiscretizer online(opts);
+  SaxRecords records;
+  std::string word;
+  size_t pos = 0;
+  for (const double v : series) {
+    if (online.Push(v, word, &pos) &&
+        KeepWord(records.words, word, opts.numerosity, alphabet)) {
+      records.words.push_back(word);
       records.offsets.push_back(pos);
     }
   }
@@ -96,6 +120,16 @@ std::vector<NamedSeries> TestSeries() {
     spikes[i] += 40.0;  // rare large values, heavy per-window variance swings
   }
   all.push_back({"spiky", spikes});
+
+  // One non-finite sample poisons every later prefix sum (the online
+  // rings' until their next rebase), so those windows must go to the
+  // reference path.
+  std::vector<double> nan_sample = MakeSine(500, 37.0, 0.0, 7);
+  nan_sample[230] = std::numeric_limits<double>::quiet_NaN();
+  all.push_back({"nan_sample", nan_sample});
+  std::vector<double> inf_sample = MakeSine(500, 37.0, 0.0, 7);
+  inf_sample[230] = std::numeric_limits<double>::infinity();
+  all.push_back({"inf_sample", inf_sample});
   return all;
 }
 
@@ -110,24 +144,45 @@ TEST(IncrementalSaxPropertyTest, ByteIdenticalToReferenceAcrossGrid) {
       NumerosityReduction::kNone, NumerosityReduction::kExact,
       NumerosityReduction::kMinDist};
 
+  ThreadPool pool(4);
+
   for (const NamedSeries& s : series_set) {
     for (const auto& [window, paa] : shapes) {
+      SaxOptions geometry;
+      geometry.window = window;
+      geometry.paa_size = paa;
+      // The plane depends only on (window, paa, epsilon): one per shape,
+      // replayed through every alphabet and numerosity mode below.
+      auto serial_plane = ComputeSaxZPlane(s.values, geometry);
+      auto pooled_plane =
+          ComputeSaxZPlane(s.values, geometry, nullptr, &pool);
+      ASSERT_TRUE(serial_plane.ok());
+      ASSERT_TRUE(pooled_plane.ok());
       for (size_t alpha : alphabets) {
         for (NumerosityReduction mode : modes) {
-          SaxOptions opts;
-          opts.window = window;
-          opts.paa_size = paa;
+          SaxOptions opts = geometry;
           opts.alphabet_size = alpha;
           opts.numerosity = mode;
+          const SaxRecords ref = ReferenceDiscretize(s.values, opts, mode);
+          const auto expect_reference = [&](const SaxRecords& got,
+                                            const char* path) {
+            EXPECT_EQ(got.words, ref.words)
+                << path << " " << s.name << " w=" << window << " paa=" << paa
+                << " a=" << alpha << " mode=" << static_cast<int>(mode);
+            EXPECT_EQ(got.offsets, ref.offsets)
+                << path << " " << s.name << " w=" << window << " paa=" << paa
+                << " a=" << alpha << " mode=" << static_cast<int>(mode);
+          };
           auto fast = Discretize(s.values, opts);
           ASSERT_TRUE(fast.ok());
-          SaxRecords ref = ReferenceDiscretize(s.values, opts, mode);
-          EXPECT_EQ(fast->words, ref.words)
-              << s.name << " w=" << window << " paa=" << paa
-              << " a=" << alpha << " mode=" << static_cast<int>(mode);
-          EXPECT_EQ(fast->offsets, ref.offsets)
-              << s.name << " w=" << window << " paa=" << paa
-              << " a=" << alpha << " mode=" << static_cast<int>(mode);
+          expect_reference(*fast, "Discretize");
+          auto serial = DiscretizeWithZPlane(s.values, opts, *serial_plane);
+          ASSERT_TRUE(serial.ok());
+          expect_reference(*serial, "z-plane");
+          auto pooled = DiscretizeWithZPlane(s.values, opts, *pooled_plane);
+          ASSERT_TRUE(pooled.ok());
+          expect_reference(*pooled, "pooled z-plane");
+          expect_reference(OnlineDiscretize(s.values, opts), "online");
         }
       }
     }
