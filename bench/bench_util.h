@@ -131,11 +131,10 @@ inline std::unique_ptr<obs::ObsSession> MakeObsSession(
   options.trace_path = flags.trace_path;
   options.metrics_path = flags.metrics_path;
   options.announce = !flags.quiet;
-  auto session = std::make_unique<obs::ObsSession>(options);
-  // The session constructor reset every gauge; restore the selection
-  // record so the metrics export names the backend that ran.
-  backend::AnnounceActiveBackend();
-  return session;
+  // Resolve the backend now so `backend.selected` is in the export even if
+  // the measured code never reaches a kernel.
+  backend::ActiveBackend();
+  return std::make_unique<obs::ObsSession>(options);
 }
 
 }  // namespace gva::bench

@@ -560,8 +560,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Resolve the backend now, not at the first kernel call, so
+  // `backend.selected` names it even for a run that never reaches a kernel.
+  const backend::KernelBackend& active_backend = backend::ActiveBackend();
   if (!quiet) {
-    std::printf("backend: %s\n", backend::ActiveBackend().name);
+    std::printf("backend: %s\n", active_backend.name);
   }
 
   // Always-on post-mortem: a fatal signal dumps the span flight recorder
@@ -595,9 +598,6 @@ int main(int argc, char** argv) {
     }
     obs_options.announce = !quiet;
     session.emplace(std::move(obs_options));
-    // The session constructor reset every gauge; restore the selection
-    // record so the metrics export names the backend that ran.
-    backend::AnnounceActiveBackend();
   }
 
   // Stream handles its own input (it accepts "-" for stdin, which LoadInput

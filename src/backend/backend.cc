@@ -112,6 +112,4 @@ Status SetActiveBackend(std::string_view name) {
   return Status::Ok();
 }
 
-void AnnounceActiveBackend() { AnnounceSelection(&ActiveBackend()); }
-
 }  // namespace gva::backend

@@ -98,13 +98,6 @@ const KernelBackend& ActiveBackend();
 /// the previous backend.
 Status SetActiveBackend(std::string_view name);
 
-/// Re-records the active backend's id in the `backend.selected` gauge,
-/// resolving the backend if it has not been used yet. Selection announces
-/// itself, but a metrics reset — obs::ObsSession's constructor clears
-/// every gauge — erases that record; call this after starting a session so
-/// the exported snapshot still names the backend in use.
-void AnnounceActiveBackend();
-
 }  // namespace gva::backend
 
 #endif  // GVA_BACKEND_BACKEND_H_

@@ -174,8 +174,9 @@ class JobRunner {
   size_t slots_busy() const;
   size_t queue_depth() const;
 
-  /// Monotonic lifetime counters (independent of the resettable obs
-  /// registry; these feed /healthz).
+  /// This runner's lifetime counts, for /healthz. The `server.jobs.*`
+  /// registry counters cannot stand in: they sum every runner in the
+  /// process, and -DGVA_OBS=OFF compiles them to no-ops.
   uint64_t jobs_accepted() const;
   uint64_t jobs_rejected() const;
   uint64_t jobs_completed() const;

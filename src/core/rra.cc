@@ -385,7 +385,6 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
   result.candidates_pruned = progress.pruned;
   result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "rra", obs::GlobalMetrics());
-  pool.ExportStats(obs::GlobalMetrics());
   return result;
 }
 

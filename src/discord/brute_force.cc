@@ -115,7 +115,6 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
   result.candidates_visited = candidates;
   result.candidates_pruned = 0;
   AccumulateSearchMetrics(result, "brute", obs::GlobalMetrics());
-  pool.ExportStats(obs::GlobalMetrics());
   return result;
 }
 

@@ -214,7 +214,6 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   result.candidates_pruned = progress.pruned;
   result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "hotsax", obs::GlobalMetrics());
-  pool.ExportStats(obs::GlobalMetrics());
   return result;
 }
 

@@ -335,7 +335,6 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
       FindLowScoreIntervals(out.score, out.max_window, options.anomaly);
 
   metrics.counter("ensemble.configs.used").Add(out.configs_used);
-  pool.ExportStats(metrics, "ensemble.pool");
   return out;
 }
 

@@ -174,19 +174,6 @@ std::string MetricsRegistry::ToJson() const {
   return json;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
-}
-
 MetricsRegistry& GlobalMetrics() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

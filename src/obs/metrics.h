@@ -72,7 +72,6 @@ class BasicGauge<true> {
     }
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -85,7 +84,6 @@ class BasicGauge<false> {
   constexpr void Add(int64_t) {}
   constexpr void RaiseTo(int64_t) {}
   constexpr int64_t value() const { return 0; }
-  constexpr void Reset() {}
 };
 
 using Gauge = BasicGauge<kEnabled>;
@@ -187,7 +185,7 @@ double HistogramQuantile(const MetricSample& sample, double q);
 /// dot-separated lowercase paths: <component>.<stage-or-object>.<measure>
 /// with unit suffixes where meaningful (`.us` wall-clock microseconds,
 /// `.count` plain totals) — e.g. `stage.sax.discretize.us`,
-/// `search.rra.calls.abandoned`, `pool.tasks.executed`.
+/// `search.rra.calls.abandoned`, `threadpool.tasks.executed`.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -206,10 +204,6 @@ class MetricsRegistry {
   /// {"count", "sum", "buckets": {"<index>": n}}.
   std::string ToJson() const;
 
-  /// Zeroes every counter and gauge and forgets every histogram's samples.
-  /// Must not race with concurrent Add/Record on the same metrics.
-  void Reset();
-
  private:
   mutable std::mutex mu_;
   // node-based maps: values never move, so handed-out references stay valid.
@@ -219,8 +213,8 @@ class MetricsRegistry {
 };
 
 /// The process-wide registry the library's instrumentation points write to.
-/// Always present; reading it is only interesting while an ObsSession (or a
-/// test) is collecting.
+/// Always present and never reset, so every counter is monotonic for the
+/// process lifetime (a scraper's rate() stays valid across ObsSessions).
 MetricsRegistry& GlobalMetrics();
 
 }  // namespace gva::obs

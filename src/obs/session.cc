@@ -9,7 +9,6 @@ ObsSession::ObsSession(Options options) : options_(std::move(options)) {
     GlobalTracer().Enable();
   }
   if (metrics()) {
-    GlobalMetrics().Reset();
     SetStageTimingEnabled(true);
   }
 }

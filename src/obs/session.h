@@ -10,9 +10,10 @@ namespace gva::obs {
 
 /// RAII capture window for the process-wide observability surfaces: turns
 /// on the global tracer and/or stage-time metrics on construction and, on
-/// destruction, writes the requested export files. The CLI and the bench
-/// binaries create one of these from their --trace/--metrics flags; library
-/// code never does (it only hosts instrumentation points).
+/// destruction, writes the requested export files. The metrics export is
+/// the never-reset GlobalMetrics(), so it is one run's record only because
+/// gva_cli and the bench binaries open their single session right after
+/// parsing --trace/--metrics, before any measured work.
 class ObsSession {
  public:
   struct Options {

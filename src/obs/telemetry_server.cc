@@ -84,6 +84,7 @@ StatusOr<std::unique_ptr<TelemetryServer>> TelemetryServer::Start(
 
 TelemetryServer::TelemetryServer(std::unique_ptr<net::HttpServer> http)
     : started_(std::chrono::steady_clock::now()), http_(std::move(http)) {
+  GlobalMetrics().gauge("telemetry.port").Set(static_cast<int64_t>(port()));
   http_->Start(
       [this](const net::HttpRequest& request) { return Respond(request); });
 }
@@ -93,13 +94,7 @@ TelemetryServer::~TelemetryServer() { Stop(); }
 void TelemetryServer::Stop() { http_->Stop(); }
 
 net::HttpResponse TelemetryServer::Respond(const net::HttpRequest& request) {
-  // Self-metrics re-published on every request: an ObsSession reset wipes
-  // their values, and this is what restores them on the next scrape.
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry& metrics = GlobalMetrics();
-  metrics.counter("telemetry.requests").Add(1);
-  metrics.gauge("telemetry.port").Set(static_cast<int64_t>(port()));
-
+  GlobalMetrics().counter("telemetry.requests").Add(1);
   net::HttpResponse response;
   if (!HandleTelemetryRoute(request.method, request.path, started_, {},
                             &response)) {

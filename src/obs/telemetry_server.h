@@ -1,7 +1,6 @@
 #ifndef GVA_OBS_TELEMETRY_SERVER_H_
 #define GVA_OBS_TELEMETRY_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -40,11 +39,9 @@ bool HandleTelemetryRoute(std::string_view method, std::string_view path,
 /// a net::HttpServer, the same event loop gva_serverd runs, so a client
 /// that stalls mid-request never delays a scrape. Every response closes
 /// its connection (scrapers reconnect per poll), request bodies are capped
-/// at 4 KiB (scrapes are bodyless GETs), and unknown paths get 404.
-///
-/// Every request bumps the `telemetry.requests` counter and re-publishes
-/// the `telemetry.port` gauge, so the server's own series reappear on the
-/// very next scrape after an ObsSession resets the global registry.
+/// at 4 KiB (scrapes are bodyless GETs), and unknown paths get 404. Start
+/// sets the `telemetry.port` gauge; every request bumps the
+/// `telemetry.requests` counter.
 class TelemetryServer {
  public:
   struct Options {
@@ -72,12 +69,6 @@ class TelemetryServer {
   /// The bound port (the kernel's choice when Options::port was 0).
   uint16_t port() const { return http_->port(); }
 
-  /// Requests served since Start (monotonic, independent of the
-  /// resettable `telemetry.requests` metric).
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Starts `http`'s loop, answering with Respond.
   explicit TelemetryServer(std::unique_ptr<net::HttpServer> http);
@@ -85,7 +76,6 @@ class TelemetryServer {
   net::HttpResponse Respond(const net::HttpRequest& request);
 
   const std::chrono::steady_clock::time_point started_;
-  std::atomic<uint64_t> requests_served_{0};
   /// Last: its loop thread answers through Respond, which reads the
   /// members above.
   std::unique_ptr<net::HttpServer> http_;

@@ -1,6 +1,7 @@
 #include "util/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 
@@ -19,6 +20,10 @@ StatusOr<double> ParseDouble(std::string_view field) {
   double value = std::strtod(buffer.c_str(), &end);
   if (end != buffer.c_str() + buffer.size() || errno == ERANGE) {
     return Status::InvalidArgument("malformed numeric field: '" + buffer +
+                                   "'");
+  }
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("non-finite numeric field: '" + buffer +
                                    "'");
   }
   return value;

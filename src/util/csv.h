@@ -31,7 +31,7 @@ Status WriteCsvColumns(const std::string& path,
                        const std::vector<std::string>& names,
                        const std::vector<std::vector<double>>& columns);
 
-/// Parses one numeric field; empty input is invalid.
+/// Parses one numeric field; empty input, nan and +-inf are invalid.
 StatusOr<double> ParseDouble(std::string_view field);
 
 }  // namespace gva

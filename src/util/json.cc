@@ -139,14 +139,14 @@ class Parser {
       }
     }
     const std::string token(text_.substr(start, pos_ - start));
-    errno = 0;
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
       return Error("malformed number");
     }
-    // Overflow to +-inf is accepted (strtod saturates); JSON itself has no
-    // range limit and the callers validate ranges anyway.
+    if (!std::isfinite(value)) {
+      return Error("number out of range");  // strtod saturated to +-inf
+    }
     *out = JsonValue::Number(value);
     return Status::Ok();
   }

@@ -103,8 +103,9 @@ class JsonValue {
 /// Parses a complete JSON document. Strict: one top-level value, no
 /// trailing garbage, no comments, no trailing commas; \uXXXX escapes are
 /// decoded to UTF-8 (surrogate pairs included). Nesting is capped (64
-/// levels) so a hostile body cannot blow the stack. InvalidArgument on
-/// any violation, with a byte offset in the message.
+/// levels) so a hostile body cannot blow the stack, and a number beyond
+/// double range (1e999) is rejected, so every parsed number is finite.
+/// InvalidArgument on any violation, with a byte offset in the message.
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
 /// Escapes `text` for embedding inside a JSON string literal (quotes not

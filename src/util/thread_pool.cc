@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <string>
 
 namespace gva {
 
@@ -15,15 +14,17 @@ size_t ThreadPool::ResolveThreadCount(size_t requested) {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : global_queue_depth_(
-          &obs::GlobalMetrics().gauge("threadpool.queue.depth")),
-      global_tasks_submitted_(
-          &obs::GlobalMetrics().counter("threadpool.tasks.submitted")),
-      global_tasks_executed_(
-          &obs::GlobalMetrics().counter("threadpool.tasks.executed")),
-      global_pools_live_(&obs::GlobalMetrics().gauge("threadpool.pools.live")) {
-  global_pools_live_->Add(1);
+ThreadPool::ThreadPool(size_t num_threads) {
+  obs::MetricsRegistry& metrics = obs::GlobalMetrics();
+  queue_depth_ = &metrics.gauge("threadpool.queue.depth");
+  max_queue_depth_ = &metrics.gauge("threadpool.queue.max_depth");
+  pools_live_ = &metrics.gauge("threadpool.pools.live");
+  tasks_submitted_ = &metrics.counter("threadpool.tasks.submitted");
+  tasks_executed_ = &metrics.counter("threadpool.tasks.executed");
+  tasks_stolen_ = &metrics.counter("threadpool.tasks.stolen");
+  tasks_inline_ = &metrics.counter("threadpool.tasks.inline");
+  task_us_ = &metrics.counter("threadpool.tasks.us");
+  pools_live_->Add(1);
   const size_t lanes = ResolveThreadCount(num_threads);
   workers_.reserve(lanes - 1);
   for (size_t i = 0; i + 1 < lanes; ++i) {
@@ -40,7 +41,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) {
     worker.join();
   }
-  global_pools_live_->Add(-1);
+  pools_live_->Add(-1);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -54,11 +55,10 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      global_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+      queue_depth_->Set(static_cast<int64_t>(queue_.size()));
     }
     RunTimed(task);
-    tasks_executed_.Add();
-    global_tasks_executed_->Add();
+    tasks_executed_->Add();
   }
 }
 
@@ -69,7 +69,7 @@ std::function<void()> ThreadPool::TryPop() {
   }
   std::function<void()> task = std::move(queue_.front());
   queue_.pop_front();
-  global_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+  queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   return task;
 }
 
@@ -77,7 +77,7 @@ void ThreadPool::RunTimed(const std::function<void()>& task) {
   if constexpr (obs::kEnabled) {
     const auto start = std::chrono::steady_clock::now();
     task();
-    task_us_.Add(static_cast<uint64_t>(
+    task_us_->Add(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
             .count()));
@@ -95,7 +95,7 @@ void ThreadPool::ParallelFor(
   const size_t n = end - begin;
   const size_t chunks = std::min(n, num_threads());
   if (chunks == 1) {
-    tasks_inline_.Add();
+    tasks_inline_->Add();
     body(begin, end, 0);  // single lane: exceptions propagate directly
     return;
   }
@@ -137,17 +137,16 @@ void ThreadPool::ParallelFor(
         finish_chunk(error);
       });
     }
-    tasks_submitted_.Add(chunks - 1);
-    global_tasks_submitted_->Add(chunks - 1);
-    max_queue_depth_.RaiseTo(static_cast<int64_t>(queue_.size()));
-    global_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+    tasks_submitted_->Add(chunks - 1);
+    max_queue_depth_->RaiseTo(static_cast<int64_t>(queue_.size()));
+    queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   }
   wake_.notify_all();
 
   // The caller's lane: its own chunk first. Its exception must not skip the
   // join below — the queued chunks still reference this frame's state.
   std::exception_ptr caller_error;
-  tasks_inline_.Add();
+  tasks_inline_->Add();
   try {
     body(chunk_begin(0), chunk_begin(1), 0);
   } catch (...) {
@@ -167,8 +166,8 @@ void ThreadPool::ParallelFor(
     }
     if (std::function<void()> task = TryPop()) {
       RunTimed(task);
-      tasks_stolen_.Add();
-      global_tasks_executed_->Add();  // a queued task ran, whoever ran it
+      tasks_executed_->Add();  // a queued task ran, whoever ran it
+      tasks_stolen_->Add();
       continue;
     }
     std::unique_lock<std::mutex> done_lock(done_mu);
@@ -183,30 +182,6 @@ void ThreadPool::ParallelFor(
   if (first_error != nullptr) {
     std::rethrow_exception(first_error);
   }
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.tasks_submitted = tasks_submitted_.value();
-  s.tasks_executed = tasks_executed_.value();
-  s.tasks_stolen = tasks_stolen_.value();
-  s.tasks_inline = tasks_inline_.value();
-  s.max_queue_depth = static_cast<uint64_t>(max_queue_depth_.value());
-  s.task_us = task_us_.value();
-  return s;
-}
-
-void ThreadPool::ExportStats(obs::MetricsRegistry& registry,
-                             std::string_view prefix) const {
-  const Stats s = stats();
-  const std::string p(prefix);
-  registry.counter(p + ".tasks.submitted").Add(s.tasks_submitted);
-  registry.counter(p + ".tasks.executed").Add(s.tasks_executed);
-  registry.counter(p + ".tasks.stolen").Add(s.tasks_stolen);
-  registry.counter(p + ".tasks.inline").Add(s.tasks_inline);
-  registry.gauge(p + ".queue.max_depth")
-      .RaiseTo(static_cast<int64_t>(s.max_queue_depth));
-  registry.counter(p + ".tasks.us").Add(s.task_us);
 }
 
 }  // namespace gva

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -31,26 +30,6 @@ namespace gva {
 /// ParallelFor has finished. The pool remains usable afterwards.
 class ThreadPool {
  public:
-  /// Lifetime observability counters, readable at any time (relaxed
-  /// atomics; totals are exact once the pool is idle).
-  struct Stats {
-    /// Chunk tasks handed to the queue by ParallelFor (excludes the chunk
-    /// the caller runs inline).
-    uint64_t tasks_submitted = 0;
-    /// Queued tasks executed by worker threads.
-    uint64_t tasks_executed = 0;
-    /// Queued tasks the calling thread stole and ran while waiting for its
-    /// ParallelFor to drain (work that would otherwise idle-block it).
-    uint64_t tasks_stolen = 0;
-    /// Chunks the caller ran inline (its own lane's chunk).
-    uint64_t tasks_inline = 0;
-    /// High-water mark of the task queue length.
-    uint64_t max_queue_depth = 0;
-    /// Total wall-clock microseconds spent inside queued tasks (worker +
-    /// stolen), for mean task latency: task_us / (executed + stolen).
-    uint64_t task_us = 0;
-  };
-
   /// `num_threads` == 0 means ResolveThreadCount(0) (hardware concurrency).
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
@@ -73,15 +52,6 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t, size_t, size_t)>& body);
 
-  /// Point-in-time copy of the lifetime counters.
-  Stats stats() const;
-
-  /// Adds the lifetime counters to `registry` under `<prefix>.*` (e.g.
-  /// `pool.tasks.executed`). Call when a search finishes; the counters in
-  /// the registry then accumulate across pools.
-  void ExportStats(obs::MetricsRegistry& registry,
-                   std::string_view prefix = "pool") const;
-
   /// Maps the user-facing `num_threads` knob to an actual lane count:
   /// 0 means "all hardware threads" (at least 1); other values are taken
   /// as-is up to kMaxLanes, beyond which they are clamped. The clamp keeps
@@ -99,7 +69,7 @@ class ThreadPool {
   /// Pops one queued task if available (mu_ must not be held).
   std::function<void()> TryPop();
 
-  /// Runs one queued task, timing it into task_us_.
+  /// Runs one queued task, timing it into `threadpool.tasks.us`.
   void RunTimed(const std::function<void()>& task);
 
   std::vector<std::thread> workers_;
@@ -108,25 +78,25 @@ class ThreadPool {
   std::condition_variable wake_;
   bool stop_ = false;
 
-  // obs primitives: relaxed atomics in the default build, empty no-ops
-  // (stats() then reads all zeros) when built with -DGVA_OBS=OFF.
-  obs::Counter tasks_submitted_;
-  obs::Counter tasks_executed_;
-  obs::Counter tasks_stolen_;
-  obs::Counter tasks_inline_;
-  obs::Gauge max_queue_depth_;
-  obs::Counter task_us_;
-
-  // Live GlobalMetrics() handles (resolved once in the constructor), so a
-  // telemetry scrape sees `threadpool.*` series move *while* a search
-  // runs — ExportStats only lands when a pool user decides to flush.
-  // Several pools share these: counters accumulate across pools and
-  // `threadpool.queue.depth` is last-write-wins, which is the honest
-  // reading for "what is the queue doing right now".
-  obs::Gauge* global_queue_depth_;
-  obs::Counter* global_tasks_submitted_;
-  obs::Counter* global_tasks_executed_;
-  obs::Gauge* global_pools_live_;
+  // The pool's only record of its events: GlobalMetrics() handles resolved
+  // once in the constructor, so a telemetry scrape sees the `threadpool.*`
+  // series move *while* a search runs. Every pool shares them: counters
+  // accumulate across pools, `queue.max_depth` is the process high-water
+  // mark and `queue.depth` is last-write-wins, which is the honest reading
+  // for "what is the queue doing right now". No-ops with -DGVA_OBS=OFF.
+  obs::Gauge* queue_depth_;
+  obs::Gauge* max_queue_depth_;
+  obs::Gauge* pools_live_;
+  /// Chunk tasks queued by ParallelFor (not the caller's inline chunk).
+  obs::Counter* tasks_submitted_;
+  /// Queued tasks run to completion, by a worker or the stealing caller.
+  obs::Counter* tasks_executed_;
+  /// The subset of executed tasks the caller stole while it waited.
+  obs::Counter* tasks_stolen_;
+  /// Chunks the caller ran inline (its own lane's chunk).
+  obs::Counter* tasks_inline_;
+  /// Wall-clock microseconds inside queued tasks (worker + stolen).
+  obs::Counter* task_us_;
 };
 
 }  // namespace gva

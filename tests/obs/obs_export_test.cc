@@ -88,7 +88,7 @@ TEST_F(ObsExportTest, SearchUnderSessionExportsItsMetrics) {
   EXPECT_NE(metrics.find("search.rra.calls.completed"), std::string::npos);
   EXPECT_NE(metrics.find("search.rra.discords"), std::string::npos);
   EXPECT_NE(metrics.find("stage.grammar.sequitur.us"), std::string::npos);
-  EXPECT_NE(metrics.find("pool.tasks.inline"), std::string::npos);
+  EXPECT_NE(metrics.find("threadpool.tasks.inline"), std::string::npos);
 }
 
 TEST_F(ObsExportTest, MetricsOnlySessionLeavesTracerIdle) {

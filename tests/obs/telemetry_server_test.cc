@@ -4,13 +4,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "discord/brute_force.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "server/server_test_client.h"
@@ -107,25 +112,52 @@ TEST_F(TelemetryServerTest, QueryStringIsIgnoredForRouting) {
 }
 
 TEST_F(TelemetryServerTest, RequestCounterAdvancesPerScrape) {
-  const uint64_t before = server_->requests_served();
+  obs::Counter& requests = obs::GlobalMetrics().counter("telemetry.requests");
+  const uint64_t before = requests.value();
   HttpGet(server_->port(), "/metrics");
   HttpGet(server_->port(), "/healthz");
-  EXPECT_EQ(server_->requests_served(), before + 2);
   if constexpr (obs::kEnabled) {
+    EXPECT_EQ(requests.value(), before + 2);
     const std::string response = HttpGet(server_->port(), "/metrics");
     EXPECT_NE(response.find("gva_telemetry_requests_total"),
               std::string::npos);
   }
 }
 
-// The ObsSession constructor resets the whole global registry — including
-// the server's own `telemetry.*` series. The contract: the very next
-// scrape re-publishes them, so a Prometheus target never loses the series
-// across an instrumented run.
+/// The cumulative series of a Prometheus scrape — every `_total` counter
+/// and histogram `_count` — keyed by series (labels included).
+std::map<std::string, double> CumulativeSeries(const std::string& scrape) {
+  std::map<std::string, double> series;
+  std::istringstream lines(scrape.substr(scrape.find("\r\n\r\n") + 4));
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string::npos) {
+      continue;
+    }
+    const std::string key = line.substr(0, space);
+    const std::string name = key.substr(0, key.find('{'));
+    if (name.ends_with("_total") || name.ends_with("_count")) {
+      series[key] = std::stod(line.substr(space + 1));
+    }
+  }
+  return series;
+}
+
+// Golden no-decrease check. The global registry is never reset, so a
+// capture window is invisible to a scraper: the counters a search left
+// behind, the server's own `telemetry.*` series and the pool's
+// `threadpool.*` series all survive an ObsSession, and none goes backwards
+// (Prometheus rate() treats any decrease as a counter restart).
 TEST_F(TelemetryServerTest, TelemetrySeriesSurviveObsSessionReset) {
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "observability disabled in this build";
   }
+  std::vector<double> sine(200);
+  for (size_t i = 0; i < sine.size(); ++i) {
+    sine[i] = std::sin(0.3 * static_cast<double>(i));
+  }
+  ASSERT_TRUE(FindDiscordsBruteForce(sine, 16, 1).ok());
   const std::string before = HttpGet(server_->port(), "/metrics");
   ASSERT_NE(before.find("gva_telemetry_port"), std::string::npos);
 
@@ -135,15 +167,23 @@ TEST_F(TelemetryServerTest, TelemetrySeriesSurviveObsSessionReset) {
     obs::ObsSession::Options options;
     options.metrics_path = metrics_path;
     options.announce = false;
-    obs::ObsSession session(options);  // constructor resets GlobalMetrics()
+    obs::ObsSession session(options);
     const std::string during = HttpGet(server_->port(), "/metrics");
-    // Scraping inside the session window re-registers the gauge with the
-    // live port value.
     const std::string expected =
         "gva_telemetry_port " + std::to_string(server_->port());
     EXPECT_NE(during.find(expected), std::string::npos) << during;
   }
   std::remove(metrics_path.c_str());
+
+  const std::map<std::string, double> first = CumulativeSeries(before);
+  const std::map<std::string, double> last =
+      CumulativeSeries(HttpGet(server_->port(), "/metrics"));
+  ASSERT_TRUE(first.contains("gva_search_brute_calls_completed_total"));
+  for (const auto& [series, value] : first) {
+    const auto it = last.find(series);
+    ASSERT_NE(it, last.end()) << series << " vanished";
+    EXPECT_GE(it->second, value) << series << " went backwards";
+  }
 }
 
 // tsan workload: four mutator threads hammer counters/gauges/histograms

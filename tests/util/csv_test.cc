@@ -34,6 +34,11 @@ TEST_F(CsvTest, ParseDoubleRejectsGarbage) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.2x").ok());
+  for (const char* non_finite : {"nan", "inf", "-inf"}) {
+    EXPECT_EQ(ParseDouble(non_finite).status().code(),
+              StatusCode::kInvalidArgument)
+        << non_finite;
+  }
 }
 
 TEST_F(CsvTest, ReadsSingleColumn) {

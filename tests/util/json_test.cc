@@ -60,7 +60,9 @@ TEST(ParseJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("// comment\n1").ok()); // comments
   EXPECT_FALSE(ParseJson("\"\\ud83d\"").ok());   // lone surrogate
   EXPECT_FALSE(ParseJson("nul").ok());
-  for (const char* bad : {"{", "[1,]", "1 2"}) {
+  EXPECT_FALSE(ParseJson("[1e999]").ok());       // overflows to +inf
+  EXPECT_FALSE(ParseJson("-1e999").ok());        // overflows to -inf
+  for (const char* bad : {"{", "[1,]", "1 2", "[1e999]", "-1e999"}) {
     EXPECT_EQ(ParseJson(bad).status().code(), StatusCode::kInvalidArgument);
   }
 }

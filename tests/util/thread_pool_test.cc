@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "obs/session.h"
 
 namespace gva {
 namespace {
@@ -178,65 +182,100 @@ TEST(ThreadPoolTest, EveryChunkThrowingStillDrainsAndRethrowsOne) {
   EXPECT_EQ(attempts.load(), 4);
 }
 
+/// The pool's `threadpool.*` series in the global registry. The pool
+/// writes them and nothing resets them, so tests read deltas.
+struct PoolSeries {
+  uint64_t submitted = 0;
+  uint64_t executed = 0;
+  uint64_t stolen = 0;
+  uint64_t inline_tasks = 0;
+  int64_t max_depth = 0;
+};
+
+PoolSeries ReadPoolSeries() {
+  obs::MetricsRegistry& metrics = obs::GlobalMetrics();
+  PoolSeries s;
+  s.submitted = metrics.counter("threadpool.tasks.submitted").value();
+  s.executed = metrics.counter("threadpool.tasks.executed").value();
+  s.stolen = metrics.counter("threadpool.tasks.stolen").value();
+  s.inline_tasks = metrics.counter("threadpool.tasks.inline").value();
+  s.max_depth = metrics.gauge("threadpool.queue.max_depth").value();
+  return s;
+}
+
 TEST(ThreadPoolTest, StatsCountSubmittedExecutedAndInline) {
   if constexpr (!obs::kEnabled) {
-    // Pool stats are telemetry: with GVA_OBS=OFF the counters are empty
-    // no-ops and stats() reads all zeros (unlike the distance-call split,
-    // which is an algorithm output and always counts).
-    ThreadPool zpool(4);
-    zpool.ParallelFor(0, 400, [&](size_t, size_t, size_t) {});
-    EXPECT_EQ(zpool.stats().tasks_submitted, 0u);
-    EXPECT_EQ(zpool.stats().tasks_inline, 0u);
-    GTEST_SKIP() << "pool stats compile to no-ops with GVA_OBS=OFF";
+    // Pool series are telemetry: with GVA_OBS=OFF the counters are empty
+    // no-ops and read zero (unlike the distance-call split, which is an
+    // algorithm output and always counts).
+    {
+      ThreadPool zpool(4);
+      zpool.ParallelFor(0, 400, [&](size_t, size_t, size_t) {});
+    }
+    EXPECT_EQ(ReadPoolSeries().submitted, 0u);
+    EXPECT_EQ(ReadPoolSeries().inline_tasks, 0u);
+    GTEST_SKIP() << "pool series compile to no-ops with GVA_OBS=OFF";
   }
-  ThreadPool pool(4);
-  const ThreadPool::Stats before = pool.stats();
-  EXPECT_EQ(before.tasks_submitted, 0u);
-  EXPECT_EQ(before.tasks_inline, 0u);
-
+  const PoolSeries before = ReadPoolSeries();
   constexpr int kRounds = 10;
-  for (int round = 0; round < kRounds; ++round) {
-    pool.ParallelFor(0, 400, [&](size_t, size_t, size_t) {});
-  }
-  const ThreadPool::Stats after = pool.stats();
+  {
+    ThreadPool pool(4);
+    for (int round = 0; round < kRounds; ++round) {
+      pool.ParallelFor(0, 400, [&](size_t, size_t, size_t) {});
+    }
+  }  // joined: a worker counts its task after the task released ParallelFor
+  const PoolSeries after = ReadPoolSeries();
+  const uint64_t submitted = after.submitted - before.submitted;
   // 4 lanes over 400 indices → 3 queued chunks + 1 inline chunk per round.
-  EXPECT_EQ(after.tasks_submitted, static_cast<uint64_t>(3 * kRounds));
-  EXPECT_EQ(after.tasks_inline, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(submitted, static_cast<uint64_t>(3 * kRounds));
+  EXPECT_EQ(after.inline_tasks - before.inline_tasks,
+            static_cast<uint64_t>(kRounds));
   // Every queued task ran somewhere: a worker or the stealing caller.
-  EXPECT_EQ(after.tasks_executed + after.tasks_stolen, after.tasks_submitted);
-  EXPECT_GE(after.max_queue_depth, 1u);
-  EXPECT_LE(after.max_queue_depth, 3u);
+  EXPECT_EQ(after.executed - before.executed, submitted);
+  EXPECT_LE(after.stolen - before.stolen, submitted);
+  EXPECT_GE(after.max_depth, 1);
+  EXPECT_LE(after.max_depth, std::max<int64_t>(before.max_depth, 3));
 }
 
 TEST(ThreadPoolTest, SingleLaneStatsAreInlineOnly) {
   if constexpr (!obs::kEnabled) {
-    GTEST_SKIP() << "pool stats compile to no-ops with GVA_OBS=OFF";
+    GTEST_SKIP() << "pool series compile to no-ops with GVA_OBS=OFF";
   }
-  ThreadPool pool(1);
-  pool.ParallelFor(0, 100, [&](size_t, size_t, size_t) {});
-  const ThreadPool::Stats s = pool.stats();
-  EXPECT_EQ(s.tasks_inline, 1u);
-  EXPECT_EQ(s.tasks_submitted, 0u);
-  EXPECT_EQ(s.tasks_executed, 0u);
-  EXPECT_EQ(s.tasks_stolen, 0u);
-  EXPECT_EQ(s.max_queue_depth, 0u);
+  const PoolSeries before = ReadPoolSeries();
+  {
+    ThreadPool pool(1);
+    pool.ParallelFor(0, 100, [&](size_t, size_t, size_t) {});
+  }
+  const PoolSeries after = ReadPoolSeries();
+  EXPECT_EQ(after.inline_tasks - before.inline_tasks, 1u);
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(after.executed, before.executed);
+  EXPECT_EQ(after.stolen, before.stolen);
+  EXPECT_EQ(after.max_depth, before.max_depth);
 }
 
-TEST(ThreadPoolTest, ExportStatsAccumulatesIntoRegistry) {
+TEST(ThreadPoolTest, LivePoolsGaugeSurvivesCaptureSession) {
+  // A pool built before a metrics session and destroyed inside it takes
+  // back exactly its own increment: the session must not have zeroed the
+  // gauge under it (which would leave it at -1).
   if constexpr (!obs::kEnabled) {
-    GTEST_SKIP() << "pool stats compile to no-ops with GVA_OBS=OFF";
+    GTEST_SKIP() << "metrics compiled out";
   }
-  obs::MetricsRegistry registry;
+  obs::Gauge& live = obs::GlobalMetrics().gauge("threadpool.pools.live");
+  const int64_t before = live.value();
+  auto pool = std::make_unique<ThreadPool>(2);
+  EXPECT_EQ(live.value(), before + 1);
+  const std::string metrics_path =
+      ::testing::TempDir() + "gva_pools_live_metrics.json";
   {
-    ThreadPool pool(2);
-    pool.ParallelFor(0, 64, [&](size_t, size_t, size_t) {});
-    pool.ExportStats(registry, "pool");
+    obs::ObsSession::Options options;
+    options.metrics_path = metrics_path;
+    options.announce = false;
+    obs::ObsSession session(options);
+    pool.reset();
+    EXPECT_EQ(live.value(), before);
   }
-  EXPECT_EQ(registry.counter("pool.tasks.submitted").value(), 1u);
-  EXPECT_EQ(registry.counter("pool.tasks.inline").value(), 1u);
-  EXPECT_EQ(registry.counter("pool.tasks.executed").value() +
-                registry.counter("pool.tasks.stolen").value(),
-            1u);
+  std::remove(metrics_path.c_str());
 }
 
 }  // namespace
