@@ -10,7 +10,9 @@
 // ("demo:ecg", "demo:power"), which makes the CLI runnable with no files.
 // The stream command additionally accepts "-" to consume whitespace-
 // separated samples from stdin (live ingestion: nothing is materialized,
-// memory stays bounded by --horizon).
+// memory stays bounded by --horizon). Each sample must parse as a finite
+// number; the first one that does not fails the run (exit 1) with its
+// 1-based index.
 //
 // Common options (--flag value and --flag=value are both accepted):
 //   --column N      CSV column to read (default 0)
@@ -61,6 +63,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -486,9 +489,21 @@ int RunStream(const Args& args) {
   };
 
   if (from_stdin) {
-    double value = 0.0;
-    while (std::scanf("%lf", &value) == 1) {
-      if (!feed(value)) {
+    // Samples go through the CSV field parser, so nan, inf and garbage fail
+    // the run instead of reaching the monitor.
+    std::string token;
+    size_t index = 0;
+    while (std::cin >> token) {
+      ++index;
+      StatusOr<double> value = ParseDouble(token);
+      if (!value.ok()) {
+        const Status bad = Status::InvalidArgument(
+            "stdin sample " + std::to_string(index) + ": " +
+            value.status().message());
+        std::fprintf(stderr, "%s\n", bad.ToString().c_str());
+        return 1;
+      }
+      if (!feed(*value)) {
         break;
       }
     }

@@ -75,6 +75,7 @@ StreamingAnomalyMonitor::StreamingAnomalyMonitor(
     const StreamingOptions& options)
     : options_(options),
       alphabet_(options.sax.alphabet_size),
+      discretizer_(options.sax),
       samples_counter_(&obs::GlobalMetrics().counter("stream.samples")),
       tokens_counter_(&obs::GlobalMetrics().counter("stream.tokens")),
       evictions_counter_(&obs::GlobalMetrics().counter("stream.evictions")),
@@ -104,13 +105,18 @@ void StreamingAnomalyMonitor::Push(double value) {
         ++generations_evicted_;
         evictions_counter_->Add(1);
       }
-      generations_.emplace_back(t, options_.sax);
+      generations_.emplace_back(t);
     }
   } else if (generations_.empty()) {
-    generations_.emplace_back(0, options_.sax);
+    generations_.emplace_back(0);
   }
-  for (Generation& generation : generations_) {
-    Feed(generation, value);
+  size_t pos = 0;
+  if (discretizer_.Push(value, word_scratch_, &pos)) {
+    for (Generation& generation : generations_) {
+      if (generation.start <= pos) {
+        Feed(generation, pos - generation.start);
+      }
+    }
   }
   ++samples_seen_;
   samples_counter_->Add(1);
@@ -118,16 +124,12 @@ void StreamingAnomalyMonitor::Push(double value) {
   generations_gauge_->Set(static_cast<int64_t>(generations_.size()));
 }
 
-void StreamingAnomalyMonitor::Feed(Generation& generation, double value) {
-  size_t pos = 0;
-  if (!generation.discretizer.Push(value, word_scratch_, &pos)) {
-    return;
-  }
+void StreamingAnomalyMonitor::Feed(Generation& generation, size_t offset) {
   if (!KeepWord(generation.words, word_scratch_, options_.sax.numerosity,
                 alphabet_)) {
     return;
   }
-  auto [it, inserted] = generation.vocabulary.emplace(
+  auto [it, inserted] = generation.vocabulary.try_emplace(
       word_scratch_, static_cast<int32_t>(generation.vocabulary_list.size()));
   if (inserted) {
     generation.vocabulary_list.push_back(word_scratch_);
@@ -136,7 +138,7 @@ void StreamingAnomalyMonitor::Feed(Generation& generation, double value) {
   GVA_DCHECK(status.ok());
   generation.tokens.push_back(it->second);
   generation.words.push_back(word_scratch_);
-  generation.offsets.push_back(pos);
+  generation.offsets.push_back(offset);
   tokens_counter_->Add(1);
 }
 
@@ -160,14 +162,6 @@ size_t StreamingAnomalyMonitor::retained_tokens() const {
 
 size_t StreamingAnomalyMonitor::report_suffix_start() const {
   return generations_.empty() ? samples_seen_ : generations_.front().start;
-}
-
-size_t StreamingAnomalyMonitor::sax_fallback_words() const {
-  size_t total = 0;
-  for (const Generation& generation : generations_) {
-    total += generation.discretizer.fallback_words();
-  }
-  return total;
 }
 
 StatusOr<StreamingReport> StreamingAnomalyMonitor::Report() {

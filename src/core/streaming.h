@@ -49,17 +49,19 @@ struct StreamingReport {
 /// early anomaly detection on streams; this class realizes that with
 /// amortized O(1) work per sample and memory bounded by the horizon.
 ///
-/// Ingestion: each pushed sample advances an online incremental SAX
+/// Ingestion: each pushed sample advances the monitor's one online SAX
 /// discretizer (`OnlineSaxDiscretizer`: O(paa) per completed window via
-/// rolling prefix-sum rings, byte-identical words to the batch path), the
-/// kept words feed an append-only incremental Sequitur. Eviction is
-/// generational: with horizon H, a fresh pipeline generation starts at
-/// every multiple of H and at most two are live — samples are fed to both,
-/// reports come from the older one, and crossing a horizon boundary retires
-/// the oldest generation wholesale (its rules, tokens, vocabulary, and
-/// density state all drop at once). That keeps every report a *complete*
-/// decomposition of its suffix rather than an approximation over a
-/// partially-forgotten grammar.
+/// rolling prefix-sum rings, byte-identical words to the batch path), and
+/// each completed window's word goes to every live generation that starts
+/// at or before the window; a generation's kept words feed its append-only
+/// incremental Sequitur. Eviction is generational: with horizon H, a fresh
+/// pipeline generation starts at every multiple of H and at most two are
+/// live — a word is computed once and appended to both, reports come from
+/// the older one, and crossing a horizon boundary retires the oldest
+/// generation wholesale (its rules, tokens, vocabulary, and density state
+/// all drop at once). That keeps every report a *complete* decomposition of
+/// its suffix rather than an approximation over a partially-forgotten
+/// grammar.
 ///
 /// Reporting: each generation maintains its rule-density curve across
 /// Report() calls as a difference update — only intervals whose coverage
@@ -102,10 +104,6 @@ class StreamingAnomalyMonitor {
   /// Generations retired so far (0 until the stream crosses 2x horizon).
   size_t generations_evicted() const { return generations_evicted_; }
 
-  /// Completed windows recomputed through the reference SAX path because a
-  /// numerical guard fired (diagnostic; see OnlineSaxDiscretizer).
-  size_t sax_fallback_words() const;
-
   /// Extracts the current grammar of the oldest live generation, maps its
   /// rules onto the retained suffix, difference-updates the density curve,
   /// and returns the detection. Fails with kFailedPrecondition until one
@@ -113,15 +111,13 @@ class StreamingAnomalyMonitor {
   StatusOr<StreamingReport> Report();
 
  private:
-  /// One complete pipeline over the samples from `start` onward: online
-  /// discretizer -> numerosity reduction -> vocabulary -> Sequitur, plus
-  /// the incrementally maintained density state of the last report.
+  /// One complete pipeline over the windows that start at or after
+  /// `start`: numerosity reduction -> vocabulary -> Sequitur, plus the
+  /// incrementally maintained density state of the last report.
   struct Generation {
-    Generation(size_t start_index, const SaxOptions& sax)
-        : start(start_index), discretizer(sax) {}
+    explicit Generation(size_t start_index) : start(start_index) {}
 
     size_t start;
-    OnlineSaxDiscretizer discretizer;
     std::vector<std::string> words;
     std::vector<size_t> offsets;  // window starts, relative to `start`
     std::vector<int32_t> tokens;
@@ -137,10 +133,15 @@ class StreamingAnomalyMonitor {
 
   explicit StreamingAnomalyMonitor(const StreamingOptions& options);
 
-  void Feed(Generation& generation, double value);
+  /// Appends `word_scratch_`, the word of the window at `offset` relative
+  /// to the generation's start, unless numerosity reduction drops it.
+  void Feed(Generation& generation, size_t offset);
 
   StreamingOptions options_;
   NormalAlphabet alphabet_;
+  // Words do not depend on where a generation starts (each equals
+  // SaxWordForWindow on its window), so one discretizer serves them all.
+  OnlineSaxDiscretizer discretizer_;
   size_t samples_seen_ = 0;
   size_t generations_evicted_ = 0;
   // Oldest generation first; at most two are live with a positive horizon.

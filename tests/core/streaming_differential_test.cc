@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,11 +64,44 @@ void ExpectIdentical(const DensityDetection& streaming,
   }
 }
 
-struct Cadence {
+/// A report cadence plus overrides of each test's own configuration; a
+/// zero keeps the test's default. `horizon` applies to the bounded test
+/// only, since the unbounded one runs with horizon 0 by definition.
+struct StreamCase {
   size_t report_every;
+  size_t horizon = 0;
+  size_t window = 0;
+  size_t paa = 0;
+  NumerosityReduction numerosity = NumerosityReduction::kExact;
 };
 
-class StreamingDifferentialTest : public ::testing::TestWithParam<Cadence> {};
+std::string CaseName(const StreamCase& c) {
+  std::string name = "every" + std::to_string(c.report_every);
+  if (c.horizon != 0) {
+    name += "_horizon" + std::to_string(c.horizon);
+  }
+  if (c.window != 0) {
+    name += "_w" + std::to_string(c.window) + "paa" + std::to_string(c.paa);
+  }
+  if (c.numerosity == NumerosityReduction::kNone) {
+    name += "_nonumerosity";
+  } else if (c.numerosity == NumerosityReduction::kMinDist) {
+    name += "_mindist";
+  }
+  return name;
+}
+
+// gtest would otherwise print the struct's raw bytes, padding included.
+void PrintTo(const StreamCase& c, std::ostream* os) { *os << CaseName(c); }
+
+void ApplyCase(const StreamCase& c, StreamingOptions* opts) {
+  opts->sax.window = c.window != 0 ? c.window : opts->sax.window;
+  opts->sax.paa_size = c.paa != 0 ? c.paa : opts->sax.paa_size;
+  opts->sax.numerosity = c.numerosity;
+}
+
+class StreamingDifferentialTest : public ::testing::TestWithParam<StreamCase> {
+};
 
 // Horizon-bounded streaming vs the batch detector on the retained suffix,
 // replayed at the parameterized report cadence and checked against both a
@@ -79,7 +114,8 @@ TEST_P(StreamingDifferentialTest, StreamEqualsBatchOnSuffix) {
   opts.sax.paa_size = 5;
   opts.sax.alphabet_size = 4;
   opts.density.threshold_fraction = 0.05;
-  opts.horizon = 600;
+  opts.horizon = GetParam().horizon != 0 ? GetParam().horizon : 600;
+  ApplyCase(GetParam(), &opts);
 
   auto monitor = StreamingAnomalyMonitor::Create(opts);
   ASSERT_TRUE(monitor.ok());
@@ -126,6 +162,7 @@ TEST_P(StreamingDifferentialTest, UnboundedStreamEqualsBatchOnPrefix) {
   opts.sax.window = 80;
   opts.sax.paa_size = 4;
   opts.sax.alphabet_size = 5;
+  ApplyCase(GetParam(), &opts);
 
   auto monitor = StreamingAnomalyMonitor::Create(opts);
   ASSERT_TRUE(monitor.ok());
@@ -183,11 +220,24 @@ TEST(StreamingDifferentialTest2, FinalReportIndependentOfCadence) {
   }
 }
 
+// Cadences first, then the configurations where generations and words are
+// easiest to misalign: a horizon equal to the window (every generation sees
+// exactly one window before the next opens) or just past it, a window the
+// PAA segments do not divide, and the other two numerosity strategies.
 INSTANTIATE_TEST_SUITE_P(
     Cadences, StreamingDifferentialTest,
-    ::testing::Values(Cadence{1}, Cadence{251}, Cadence{997}),
-    [](const ::testing::TestParamInfo<Cadence>& cadence_info) {
-      return "every" + std::to_string(cadence_info.param.report_every);
+    ::testing::Values(
+        StreamCase{1}, StreamCase{251}, StreamCase{997},
+        StreamCase{.report_every = 1, .horizon = 100},
+        StreamCase{.report_every = 7, .horizon = 101},
+        StreamCase{.report_every = 13, .horizon = 137},
+        StreamCase{.report_every = 251, .window = 97, .paa = 6},
+        StreamCase{.report_every = 251,
+                   .numerosity = NumerosityReduction::kNone},
+        StreamCase{.report_every = 251,
+                   .numerosity = NumerosityReduction::kMinDist}),
+    [](const ::testing::TestParamInfo<StreamCase>& case_info) {
+      return CaseName(case_info.param);
     });
 
 }  // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "datasets/simple.h"
+#include "grammar/audit.h"
+#include "sax/sax_transform.h"
 #include "util/rng.h"
 
 namespace gva {
@@ -298,6 +301,56 @@ TEST(SequiturRegressionTest, LongRunsMixedWithMotifs) {
   auto g = InferGrammar(input);
   ASSERT_TRUE(g.ok());
   CheckAllInvariants(*g, input);
+}
+
+// --- rule-churn golden ------------------------------------------------------
+// The (100,5,4) SAX words of a long noisy sine create and retire tens of
+// thousands of rules while a few hundred survive, so rule retirement runs
+// far more often than anywhere else in the suite. The fingerprint covers
+// every rule's right-hand side, use count and occurrences: any change to the
+// rule table's bookkeeping that alters a grammar shows here.
+
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+uint64_t GrammarFingerprint(const Grammar& g) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const GrammarRule& rule : g.rules()) {
+    hash = Fnv1a(hash, rule.rhs.size());
+    for (const GrammarSymbol& sym : rule.rhs) {
+      hash = Fnv1a(hash, sym.is_terminal ? 1u : 0u);
+      hash = Fnv1a(hash, static_cast<uint32_t>(sym.id));
+    }
+    hash = Fnv1a(hash, rule.use_count);
+    hash = Fnv1a(hash, rule.occurrences.size());
+    for (size_t start : rule.occurrences) {
+      hash = Fnv1a(hash, start);
+    }
+  }
+  return hash;
+}
+
+TEST(SequiturGoldenTest, RuleChurnOnLongSineIsPinned) {
+  const LabeledSeries data =
+      MakeSineWithAnomaly(200000, 80.0, 0.04, 190000, 90, 7);
+  SaxOptions sax;
+  sax.window = 100;
+  sax.paa_size = 5;
+  sax.alphabet_size = 4;
+  auto records = Discretize(data.series.values(), sax);
+  ASSERT_TRUE(records.ok()) << records.status();
+  auto wg = InferGrammarFromWords(records->words);
+  ASSERT_TRUE(wg.ok()) << wg.status();
+  EXPECT_EQ(wg->tokens.size(), 55142u);
+  EXPECT_EQ(wg->grammar.size(), 296u);
+  EXPECT_EQ(GrammarFingerprint(wg->grammar), 0xa184de7eebcd9f4bULL);
+  const Status audit = AuditGrammar(wg->grammar, wg->tokens);
+  EXPECT_TRUE(audit.ok()) << audit.message();
 }
 
 // --- randomized property sweep ----------------------------------------------

@@ -11,8 +11,13 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Named after the test, not the fixture's address: ctest runs each
+    // test in its own process, and under ASan's deterministic allocator
+    // those processes place the fixture at the same address, so parallel
+    // tests would share one file.
     path_ = ::testing::TempDir() + "/gva_csv_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".csv";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
