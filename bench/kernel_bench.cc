@@ -3,8 +3,9 @@
 // reimplementation of the pre-overhaul kernel (naive per-window
 // z-normalize + PAA; scalar per-element-abandon distance loop), plus a
 // per-backend matrix — one row per available kernel backend (scalar /
-// AVX2 / NEON, see src/backend/) per case, with the scalar backend as the
-// baseline column. Exactness is CHECKed on every configuration before any
+// AVX2 / NEON, see src/backend/) per distance case, with the scalar
+// backend as the baseline column (SAX makes no dispatched call, so it has
+// no matrix rows). Exactness is CHECKed on every configuration before any
 // timing — byte-identical SAX records, matching distances and abandon
 // decisions, and cross-backend agreement (bitwise where the backend
 // advertises bit_exact_distance, within rounding tolerance otherwise) —
@@ -388,66 +389,6 @@ void BenchDistanceBackends(const std::string& name,
   }
 }
 
-/// One row per available backend for a discretize case. Dispatch reaches
-/// discretization only through the bit-exact PaaSegmentSums kernel, so the
-/// CHECK here is byte-identical records for every backend, no tolerance.
-void BenchDiscretizeBackends(const std::string& name,
-                             std::span<const double> series,
-                             const SaxOptions& opts, int reps,
-                             std::vector<KernelRow>* rows) {
-  const std::vector<const backend::KernelBackend*> backends =
-      backend::AvailableBackends();
-  const auto run_with = [&](const backend::KernelBackend* b) {
-    const Status status = backend::SetActiveBackend(b->name);
-    if (!status.ok()) {
-      std::abort();
-    }
-    return Discretize(series, opts);
-  };
-
-  const auto reference = run_with(backend::ScalarBackend());
-  bench::Check(reference.ok(),
-               "discretize/" + name + "[scalar]: Discretize succeeds");
-  const double scalar_s = BestOf(reps, [&] {
-    const auto r = Discretize(series, opts);
-    if (!r.ok() || r->words.empty()) {
-      std::abort();
-    }
-  });
-
-  for (const backend::KernelBackend* b : backends) {
-    const auto records = run_with(b);  // leaves b active for the timing
-    if (b != backend::ScalarBackend() && reference.ok() && records.ok()) {
-      bench::Check(records->words == reference->words &&
-                       records->offsets == reference->offsets,
-                   "discretize/" + name + "[" + b->name +
-                       "]: records byte-identical to scalar backend");
-    }
-    KernelRow row;
-    row.name = "discretize/" + name + "[" + b->name + "]";
-    row.detail = StrFormat("n=%zu w=%zu paa=%zu a=%zu", series.size(),
-                           opts.window, opts.paa_size, opts.alphabet_size);
-    row.units = static_cast<double>(series.size());
-    row.baseline_s = scalar_s;
-    if (b == backend::ScalarBackend()) {
-      row.kernel_s = scalar_s;
-    } else {
-      row.kernel_s = BestOf(reps, [&] {
-        const auto r = Discretize(series, opts);
-        if (!r.ok() || r->words.empty()) {
-          std::abort();
-        }
-      });
-    }
-    rows->push_back(row);
-  }
-  // Re-pin scalar so the legacy rows after this call keep their historical
-  // arithmetic.
-  if (!backend::SetActiveBackend("scalar").ok()) {
-    std::abort();
-  }
-}
-
 /// Measures the marginal cost of the per-distance-call metrics
 /// instrumentation at realistic call granularity: the same distance-call
 /// loop once feeding the disabled (no-op) counter primitive and once the
@@ -543,7 +484,6 @@ int Run(bool smoke, const std::string& out_path) {
     // host (including non-x86 ones, where only scalar/neon exist).
     BenchDistanceBackends("sine_3k", sine, 64, 2000, false, 1, &rows);
     BenchDistanceBackends("sine_3k", sine, 64, 2000, true, 1, &rows);
-    BenchDiscretizeBackends("sine_3k", sine, opts, 1, &rows);
 
     // The observability acceptance gate: per-call metrics must cost < 5%
     // on top of a realistic distance-call loop. Interleaved best-of-9 on a
@@ -597,8 +537,6 @@ int Run(bool smoke, const std::string& out_path) {
     BenchDistanceBackends("sine_100k", sine, 180, 20000, true, 3, &rows);
     BenchDistanceBackends("sine_100k_long", sine, 1024, 5000, false, 3, &rows);
     BenchDistanceBackends("ecg", ecg.series, 120, 20000, false, 3, &rows);
-    BenchDiscretizeBackends("sine_100k", sine, opts, 3, &rows);
-    BenchDiscretizeBackends("ecg", ecg.series, ecg_sax, 3, &rows);
 
     rows.push_back(BenchObsOverhead(sine, 180, 50000, 5));
   }

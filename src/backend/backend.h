@@ -21,9 +21,9 @@ inline constexpr size_t kDistanceBlock = 16;
 enum class BackendId : int { kScalar = 1, kAvx2 = 2, kNeon = 3 };
 
 /// A table of kernel implementations plus capability metadata — the
-/// ggml-style seam between the algorithm layer (discord searches, SAX
-/// substrate) and hardware-specific code. All raw SIMD intrinsics in the
-/// tree live behind this table, under src/backend/ (enforced by the
+/// ggml-style seam between the algorithm layer (the discord searches'
+/// distance oracle) and hardware-specific code. All raw SIMD intrinsics in
+/// the tree live behind this table, under src/backend/ (enforced by the
 /// `simd-intrinsics` lint rule). A future GPU/OpenCL backend is one more
 /// table (plus staging buffers), not a rewrite of the call sites.
 struct KernelBackend {
@@ -38,8 +38,7 @@ struct KernelBackend {
   /// left-to-right summation order bit-for-bit. The SIMD backends fold
   /// lane-parallel partial sums instead — the one documented exception to
   /// the repo's bit-exactness contract (DESIGN.md §11); their results are
-  /// tolerance-tested against scalar. paa_segment_sums is bit-exact in
-  /// every backend (each output is a single IEEE subtraction).
+  /// tolerance-tested against scalar.
   bool bit_exact_distance;
 
   /// Fused z-normalized squared-Euclidean pass over a[0..length) and
@@ -56,13 +55,6 @@ struct KernelBackend {
                                size_t length, double mean_a, double inv_a,
                                double mean_b, double inv_b, double limit_sq,
                                double* sum_sq);
-
-  /// PAA segment sums from a prefix-sum table: for j in [0, segments),
-  /// out[j] = prefix[(j + 1) * step] - prefix[j * step]. One IEEE
-  /// subtraction per output, so results are bit-identical across backends
-  /// and the SAX guarded-fallback contract is unaffected by dispatch.
-  void (*paa_segment_sums)(const double* prefix, size_t segments,
-                           size_t step, double* out);
 };
 
 /// The portable reference backend. Always available; its summation order is
@@ -84,12 +76,12 @@ std::vector<const KernelBackend*> AvailableBackends();
 /// for unknown names and for backends this host cannot run.
 const KernelBackend* FindBackend(std::string_view name);
 
-/// The process-wide active backend used by default-constructed oracles and
-/// discretizers. Resolved once on first use: GVA_BACKEND=scalar|avx2|neon|
-/// auto when set (an unknown or unavailable value aborts loudly — a forced
-/// backend silently falling back would invalidate a benchmark), otherwise
-/// "auto". Selection records the backend's id in the `backend.selected`
-/// gauge. Thread-safe.
+/// The process-wide active backend used by default-constructed oracles.
+/// Resolved once on first use: GVA_BACKEND=scalar|avx2|neon|auto when set
+/// (an unknown or unavailable value aborts loudly — a forced backend
+/// silently falling back would invalidate a benchmark), otherwise "auto".
+/// Selection records the backend's id in the `backend.selected` gauge.
+/// Thread-safe.
 const KernelBackend& ActiveBackend();
 
 /// Programmatic override (the --backend CLI/bench flag). Accepts the same

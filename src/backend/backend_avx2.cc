@@ -110,27 +110,6 @@ bool Avx2ZNormDistanceBlock(const double* a, const double* b, size_t length,
   return true;
 }
 
-void Avx2PaaSegmentSums(const double* prefix, size_t segments, size_t step,
-                        double* out) {
-  const long long s = static_cast<long long>(step);
-  size_t j = 0;
-  for (; j + 4 <= segments; j += 4) {
-    const long long base = static_cast<long long>(j) * s;
-    // Segment starts are `step` apart in the prefix table; the matching
-    // segment ends are the same indices off prefix + step. Lane-wise
-    // subtraction, so each output is the identical single IEEE subtraction
-    // the scalar backend performs — bit-exact by construction.
-    const __m256i idx =
-        _mm256_set_epi64x(base + 3 * s, base + 2 * s, base + s, base);
-    const __m256d lo = _mm256_i64gather_pd(prefix, idx, 8);
-    const __m256d hi = _mm256_i64gather_pd(prefix + step, idx, 8);
-    _mm256_storeu_pd(out + j, _mm256_sub_pd(hi, lo));
-  }
-  for (; j < segments; ++j) {
-    out[j] = prefix[(j + 1) * step] - prefix[j * step];
-  }
-}
-
 }  // namespace
 
 const KernelBackend* Avx2Backend() {
@@ -145,7 +124,6 @@ const KernelBackend* Avx2Backend() {
       /*lanes=*/4,
       /*bit_exact_distance=*/false,
       /*znorm_distance_block=*/&Avx2ZNormDistanceBlock,
-      /*paa_segment_sums=*/&Avx2PaaSegmentSums,
   };
   return &kTable;
 }

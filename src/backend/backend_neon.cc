@@ -6,10 +6,6 @@
 // scalar tail shared by the full-length and abandoning paths. Like AVX2,
 // the lane-parallel accumulation is the documented tolerance-bounded
 // exception to the scalar bit-exactness contract (DESIGN.md §11).
-//
-// paa_segment_sums stays scalar here: the strided prefix reads would need
-// lane-by-lane gathers on NEON, which measure no better than the scalar
-// loop for the small segment counts SAX uses. It is bit-exact either way.
 
 #if defined(GVA_BACKEND_NEON)
 
@@ -102,13 +98,6 @@ bool NeonZNormDistanceBlock(const double* a, const double* b, size_t length,
   return true;
 }
 
-void NeonPaaSegmentSums(const double* prefix, size_t segments, size_t step,
-                        double* out) {
-  for (size_t j = 0; j < segments; ++j) {
-    out[j] = prefix[(j + 1) * step] - prefix[j * step];
-  }
-}
-
 bool NeonAvailable() {
 #if defined(__linux__) && defined(HWCAP_ASIMD)
   return (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
@@ -130,7 +119,6 @@ const KernelBackend* NeonBackend() {
       /*lanes=*/2,
       /*bit_exact_distance=*/false,
       /*znorm_distance_block=*/&NeonZNormDistanceBlock,
-      /*paa_segment_sums=*/&NeonPaaSegmentSums,
   };
   return &kTable;
 }

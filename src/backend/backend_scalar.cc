@@ -84,13 +84,6 @@ bool ScalarZNormDistanceBlock(const double* a, const double* b,
   return true;
 }
 
-void ScalarPaaSegmentSums(const double* prefix, size_t segments, size_t step,
-                          double* out) {
-  for (size_t j = 0; j < segments; ++j) {
-    out[j] = prefix[(j + 1) * step] - prefix[j * step];
-  }
-}
-
 }  // namespace
 
 const KernelBackend* ScalarBackend() {
@@ -100,7 +93,6 @@ const KernelBackend* ScalarBackend() {
       /*lanes=*/1,
       /*bit_exact_distance=*/true,
       /*znorm_distance_block=*/&ScalarZNormDistanceBlock,
-      /*paa_segment_sums=*/&ScalarPaaSegmentSums,
   };
   return &kTable;
 }

@@ -1,64 +1,10 @@
 #include "core/streaming.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/strings.h"
 
 namespace gva {
-
-namespace {
-
-bool SpanBefore(const Interval& a, const Interval& b) {
-  return a.start != b.start ? a.start < b.start : a.end < b.end;
-}
-
-/// Difference-updates `density` (the curve built from the sorted span
-/// multiset `old_spans`) into the curve of the sorted span multiset
-/// `new_spans`: only spans present in exactly one of the two are touched,
-/// so the cost is proportional to the changed coverage, not the suffix.
-/// Removals are applied before additions — every point of a removed span
-/// is still covered by it in `density`, so the subtraction cannot
-/// underflow regardless of how additions interleave.
-void ApplySpanDeltas(const std::vector<Interval>& old_spans,
-                     const std::vector<Interval>& new_spans,
-                     std::vector<uint32_t>& density) {
-  std::vector<const Interval*> removed;
-  std::vector<const Interval*> added;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < old_spans.size() && j < new_spans.size()) {
-    if (old_spans[i] == new_spans[j]) {
-      ++i;
-      ++j;
-    } else if (SpanBefore(old_spans[i], new_spans[j])) {
-      removed.push_back(&old_spans[i++]);
-    } else {
-      added.push_back(&new_spans[j++]);
-    }
-  }
-  for (; i < old_spans.size(); ++i) {
-    removed.push_back(&old_spans[i]);
-  }
-  for (; j < new_spans.size(); ++j) {
-    added.push_back(&new_spans[j]);
-  }
-  for (const Interval* s : removed) {
-    for (size_t p = s->start; p < s->end && p < density.size(); ++p) {
-      GVA_DCHECK(density[p] > 0);
-      --density[p];
-    }
-  }
-  for (const Interval* s : added) {
-    for (size_t p = s->start; p < s->end && p < density.size(); ++p) {
-      ++density[p];
-    }
-  }
-}
-
-}  // namespace
 
 Status StreamingOptions::Validate() const {
   GVA_RETURN_IF_ERROR(sax.Validate());
@@ -97,8 +43,8 @@ void StreamingAnomalyMonitor::Push(double value) {
     if (t % horizon == 0) {
       // A new generation opens at every horizon boundary; once the one
       // after next opens, the oldest covers >= 2*horizon samples and is
-      // retired wholesale (rules, tokens, vocabulary, density — bounded
-      // memory comes from dropping complete pipelines, not from surgically
+      // retired wholesale (rules, tokens, vocabulary — bounded memory
+      // comes from dropping complete pipelines, not from surgically
       // un-weaving the grammar).
       if (generations_.size() == 2) {
         generations_.erase(generations_.begin());
@@ -171,7 +117,7 @@ StatusOr<StreamingReport> StreamingAnomalyMonitor::Report() {
   }
   GVA_OBS_SPAN("stream.report");
   reports_counter_->Add(1);
-  Generation& generation = generations_.front();
+  const Generation& generation = generations_.front();
   const size_t suffix_length = samples_seen_ - generation.start;
 
   StreamingReport report;
@@ -187,25 +133,9 @@ StatusOr<StreamingReport> StreamingAnomalyMonitor::Report() {
   d.grammar.tokens = generation.tokens;
   d.intervals =
       MapRuleIntervals(d.grammar.grammar, d.records, d.window, suffix_length);
-
-  // Difference-update the generation's density curve: grow it to the new
-  // suffix length (new points start uncovered) and apply only the spans
-  // whose multiset membership changed since the last report. The result is
-  // identical to RuleDensityCurve(d.intervals, suffix_length) built from
-  // scratch — integer coverage counts add exactly.
-  generation.density.resize(suffix_length, 0);
-  std::vector<Interval> spans;
-  spans.reserve(d.intervals.size());
-  for (const RuleInterval& interval : d.intervals) {
-    spans.push_back(interval.span);
-  }
-  std::sort(spans.begin(), spans.end(), SpanBefore);
-  ApplySpanDeltas(generation.density_spans, spans, generation.density);
-  generation.density_spans = std::move(spans);
-
-  d.density = generation.density;
+  d.density = RuleDensityCurve(d.intervals, suffix_length);
   report.detection.anomalies =
-      FindLowDensityIntervals(generation.density, d.window, options_.density);
+      FindLowDensityIntervals(d.density, d.window, options_.density);
   return report;
 }
 

@@ -58,15 +58,14 @@ struct StreamingReport {
 /// pipeline generation starts at every multiple of H and at most two are
 /// live — a word is computed once and appended to both, reports come from
 /// the older one, and crossing a horizon boundary retires the oldest
-/// generation wholesale (its rules, tokens, vocabulary, and density state
-/// all drop at once). That keeps every report a *complete* decomposition of
-/// its suffix rather than an approximation over a partially-forgotten
-/// grammar.
+/// generation wholesale (its rules, tokens, and vocabulary all drop at
+/// once). That keeps every report a *complete* decomposition of its suffix
+/// rather than an approximation over a partially-forgotten grammar.
 ///
-/// Reporting: each generation maintains its rule-density curve across
-/// Report() calls as a difference update — only intervals whose coverage
-/// changed since the previous report are touched — so a report costs
-/// O(grammar + changed region + output), never O(stream prefix).
+/// Reporting: a report extracts the oldest generation's grammar, maps its
+/// rules onto the suffix and builds the density curve with the batch
+/// path's RuleDensityCurve, so it costs O(retained suffix + grammar) —
+/// bounded by the horizon, never O(stream prefix).
 ///
 /// The equivalence contract (see streaming_differential_test.cc): a report
 /// at any moment, under any report cadence, is bit-for-bit identical to
@@ -105,15 +104,14 @@ class StreamingAnomalyMonitor {
   size_t generations_evicted() const { return generations_evicted_; }
 
   /// Extracts the current grammar of the oldest live generation, maps its
-  /// rules onto the retained suffix, difference-updates the density curve,
-  /// and returns the detection. Fails with kFailedPrecondition until one
-  /// full window has streamed by; any other error is a real failure.
+  /// rules onto the retained suffix, builds the density curve, and returns
+  /// the detection. Fails with kFailedPrecondition until one full window
+  /// has streamed by; any other error is a real failure.
   StatusOr<StreamingReport> Report();
 
  private:
   /// One complete pipeline over the windows that start at or after
-  /// `start`: numerosity reduction -> vocabulary -> Sequitur, plus the
-  /// incrementally maintained density state of the last report.
+  /// `start`: numerosity reduction -> vocabulary -> Sequitur.
   struct Generation {
     explicit Generation(size_t start_index) : start(start_index) {}
 
@@ -124,11 +122,6 @@ class StreamingAnomalyMonitor {
     std::vector<std::string> vocabulary_list;
     std::unordered_map<std::string, int32_t> vocabulary;
     IncrementalSequitur sequitur;
-    // Density curve as of the last Report() on this generation, plus the
-    // sorted interval spans it was built from; the next Report() applies
-    // only the span multiset difference.
-    std::vector<uint32_t> density;
-    std::vector<Interval> density_spans;
   };
 
   explicit StreamingAnomalyMonitor(const StreamingOptions& options);

@@ -1,7 +1,14 @@
 #include "grammar/sequitur.h"
 
+#include <sanitizer/asan_interface.h>
+
+#include <bit>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -25,13 +32,17 @@ struct Rule;
 struct Sym {
   Sym* next = nullptr;
   Sym* prev = nullptr;
-  int32_t terminal = -1;     // >= 0 for terminals
+  // The symbol's identity in digrams: (token << 1) | 1 for a terminal,
+  // the rule's serial << 1 for a non-terminal, 0 for a guard. Stored, not
+  // derived, so hashing a digram never dereferences a rule.
+  uint64_t id = 0;
   Rule* rule = nullptr;      // non-null for non-terminals
   Rule* guard_of = nullptr;  // non-null for a rule's guard node
 
   bool IsGuard() const { return guard_of != nullptr; }
   bool IsNonTerminal() const { return rule != nullptr; }
-  bool IsTerminal() const { return terminal >= 0; }
+  bool IsTerminal() const { return (id & 1u) != 0; }
+  int32_t terminal() const { return static_cast<int32_t>(id >> 1); }
 };
 
 struct Rule {
@@ -51,36 +62,188 @@ struct Rule {
   bool Empty() { return guard.next == &guard; }
 };
 
-class Inducer {
- public:
-  // Note: root_ must be created in the body — NewRule() appends to
-  // all_rules_, which is declared (and therefore constructed) after root_.
-  Inducer() { root_ = NewRule(); }
+/// Chunked free-list pool of one Inducer's symbols or rules. A freed slot is
+/// handed out again before a new chunk is carved, so induction — which
+/// retires most of the symbols and rules it creates — stops allocating once
+/// the grammar's high-water mark is reached, and the whole graph is released
+/// with the chunks. Under AddressSanitizer free and not-yet-carved slots are
+/// poisoned, so a read of a retired symbol is still reported, as it was when
+/// every symbol had its own heap block.
+template <typename T>
+class Pool {
+  static_assert(std::is_trivially_destructible_v<T>);
 
-  ~Inducer() {
-    // Free every surviving symbol and rule.
-    for (Rule* r : all_rules_) {
-      Sym* s = r->first();
-      while (!s->IsGuard()) {
-        Sym* next = s->next;
-        delete s;
-        s = next;
-      }
-      delete r;
+ public:
+  Pool() = default;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  ~Pool() {
+    for (const std::unique_ptr<Slot[]>& chunk : chunks_) {
+      ASAN_UNPOISON_MEMORY_REGION(chunk.get(), sizeof(Slot) * kChunkSlots);
     }
   }
+
+  template <typename... Args>
+  T* New(Args&&... args) {
+    Slot* slot = free_;
+    if (slot != nullptr) {
+      ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(Slot));
+      free_ = slot->next_free;
+    } else {
+      if (carved_ == kChunkSlots) {
+        chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
+        ASAN_POISON_MEMORY_REGION(chunks_.back().get(),
+                                  sizeof(Slot) * kChunkSlots);
+        carved_ = 0;
+      }
+      slot = &chunks_.back()[carved_++];
+      ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(Slot));
+    }
+    return ::new (static_cast<void*>(slot->storage))
+        T(std::forward<Args>(args)...);
+  }
+
+  void Delete(T* object) {
+    Slot* slot = reinterpret_cast<Slot*>(object);
+    slot->next_free = free_;
+    free_ = slot;
+    ASAN_POISON_MEMORY_REGION(slot, sizeof(Slot));
+  }
+
+ private:
+  union Slot {
+    Slot* next_free;
+    alignas(T) unsigned char storage[sizeof(T)];
+  };
+  static constexpr size_t kChunkSlots = 256;
+
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  size_t carved_ = kChunkSlots;  // slots handed out of chunks_.back()
+  Slot* free_ = nullptr;
+};
+
+/// The digram index: open addressing with linear probing over the two
+/// symbol ids of each digram, and backward-shift deletion (no tombstones,
+/// so probe runs stay as short as the load allows). A key compares both
+/// ids; their 64-bit mix only picks the home slot, so two digrams whose
+/// mixes collide stay distinct. Allocates on the first insert.
+class DigramIndex {
+ public:
+  struct Entry {
+    uint64_t first;
+    uint64_t second;
+    Sym* sym;  // null: an empty slot
+  };
+
+  /// The entry of digram (a, b), or null.
+  Entry* Find(uint64_t a, uint64_t b) {
+    if (size_ == 0) {
+      return nullptr;
+    }
+    for (size_t i = Home(a, b);; i = (i + 1) & mask_) {
+      Entry& e = entries_[i];
+      if (e.sym == nullptr) {
+        return nullptr;
+      }
+      if (e.first == a && e.second == b) {
+        return &e;
+      }
+    }
+  }
+
+  /// The entry of digram (a, b), inserted pointing at `sym` when absent;
+  /// `*inserted` says which.
+  Entry* FindOrInsert(uint64_t a, uint64_t b, Sym* sym, bool* inserted) {
+    if (2 * (size_ + 1) > entries_.size()) {
+      Grow();
+    }
+    for (size_t i = Home(a, b);; i = (i + 1) & mask_) {
+      Entry& e = entries_[i];
+      if (e.sym == nullptr) {
+        e = Entry{a, b, sym};
+        ++size_;
+        *inserted = true;
+        return &e;
+      }
+      if (e.first == a && e.second == b) {
+        *inserted = false;
+        return &e;
+      }
+    }
+  }
+
+  /// Removes `e`, shifting the rest of its probe run back over the hole.
+  void Erase(Entry* e) {
+    size_t hole = static_cast<size_t>(e - entries_.data());
+    for (size_t i = (hole + 1) & mask_;; i = (i + 1) & mask_) {
+      Entry& next = entries_[i];
+      if (next.sym == nullptr) {
+        break;
+      }
+      // `next` may fill the hole only when the hole lies on its probe path,
+      // i.e. its home is no closer to it than the hole is.
+      const size_t home = Home(next.first, next.second);
+      if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+        entries_[hole] = next;
+        hole = i;
+      }
+    }
+    entries_[hole].sym = nullptr;
+    --size_;
+  }
+
+ private:
+  static constexpr size_t kMinCapacity = 64;
+
+  size_t Home(uint64_t a, uint64_t b) const {
+    uint64_t h = a * 0x9e3779b97f4a7c15ULL;
+    h ^= b + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    // Fibonacci hashing: the top bits of the product depend on every bit
+    // of the mix.
+    return static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<Entry> old = std::move(entries_);
+    const size_t capacity = old.empty() ? kMinCapacity : 2 * old.size();
+    entries_.assign(capacity, Entry{0, 0, nullptr});
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Entry& e : old) {
+      if (e.sym == nullptr) {
+        continue;
+      }
+      size_t i = Home(e.first, e.second);
+      while (entries_[i].sym != nullptr) {
+        i = (i + 1) & mask_;
+      }
+      entries_[i] = e;
+    }
+  }
+
+  std::vector<Entry> entries_;  // power-of-two capacity, at most half full
+  size_t size_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 64;
+};
+
+class Inducer {
+ public:
+  // The root rule lives inside the inducer (next_serial_ is declared, and
+  // so initialized, before it); every other rule and every symbol comes
+  // from the pools, which allocate on first use.
+  Inducer() : root_(next_serial_++) { all_rules_.push_back(&root_); }
 
   Inducer(const Inducer&) = delete;
   Inducer& operator=(const Inducer&) = delete;
 
   void AppendTerminal(int32_t token) {
-    Sym* s = new Sym();
-    s->terminal = token;
-    InsertAfter(root_->last(), s);
+    Sym* s = syms_.New();
+    s->id = (static_cast<uint64_t>(token) << 1) | 1u;
+    InsertAfter(root_.last(), s);
     Check(s->prev);
   }
-
-  Rule* root() { return root_; }
 
   /// Extracts the final grammar (rule table + occurrence lists).
   Grammar Extract(size_t num_tokens);
@@ -89,28 +252,16 @@ class Inducer {
   // --- identity & digram index -------------------------------------------
 
   static uint64_t IdOf(const Sym* s) {
-    if (s->IsTerminal()) {
-      return (static_cast<uint64_t>(s->terminal) << 1) | 1u;
-    }
-    GVA_DCHECK(s->IsNonTerminal());
-    return s->rule->serial << 1;
-  }
-
-  static uint64_t DigramKey(const Sym* s) {
-    // 64-bit mix of the two symbol identities.
-    uint64_t a = IdOf(s);
-    uint64_t b = IdOf(s->next);
-    uint64_t h = a * 0x9e3779b97f4a7c15ULL;
-    h ^= b + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
+    GVA_DCHECK(!s->IsGuard());
+    return s->id;
   }
 
   void DeleteDigram(Sym* s) {
     if (s->IsGuard() || s->next->IsGuard()) {
       return;
     }
-    auto it = digrams_.find(DigramKey(s));
-    if (it == digrams_.end() || it->second != s) {
+    DigramIndex::Entry* e = digrams_.Find(IdOf(s), IdOf(s->next));
+    if (e == nullptr || e->sym != s) {
       return;
     }
     // Inside a run of >= 3 identical symbols ("x x x"), the digram starting
@@ -124,9 +275,9 @@ class Inducer {
     Sym* twin = s->next;
     if (!twin->IsGuard() && !twin->next->IsGuard() &&
         IdOf(twin) == IdOf(s) && IdOf(twin->next) == IdOf(twin)) {
-      it->second = twin;
+      e->sym = twin;
     } else {
-      digrams_.erase(it);
+      digrams_.Erase(e);
     }
   }
 
@@ -134,7 +285,8 @@ class Inducer {
     if (s->IsGuard() || s->next->IsGuard()) {
       return;
     }
-    digrams_[DigramKey(s)] = s;
+    bool inserted = false;
+    digrams_.FindOrInsert(IdOf(s), IdOf(s->next), s, &inserted)->sym = s;
   }
 
   // --- linked-list surgery -------------------------------------------------
@@ -162,13 +314,13 @@ class Inducer {
     if (s->IsNonTerminal()) {
       Deuse(s->rule);
     }
-    delete s;
+    syms_.Delete(s);
   }
 
   // --- rules ---------------------------------------------------------------
 
   Rule* NewRule() {
-    Rule* r = new Rule(next_serial_++);
+    Rule* r = rules_.New(next_serial_++);
     r->slot = all_rules_.size();
     all_rules_.push_back(r);
     return r;
@@ -181,7 +333,8 @@ class Inducer {
   }
 
   Sym* NewNonTerminal(Rule* r) {
-    Sym* s = new Sym();
+    Sym* s = syms_.New();
+    s->id = r->serial << 1;
     s->rule = r;
     Reuse(r);
     return s;
@@ -191,8 +344,8 @@ class Inducer {
     if (s->IsNonTerminal()) {
       return NewNonTerminal(s->rule);
     }
-    Sym* c = new Sym();
-    c->terminal = s->terminal;
+    Sym* c = syms_.New();
+    c->id = s->id;
     return c;
   }
 
@@ -204,13 +357,12 @@ class Inducer {
     if (s->IsGuard() || s->next->IsGuard()) {
       return false;
     }
-    const uint64_t key = DigramKey(s);
-    auto it = digrams_.find(key);
-    if (it == digrams_.end()) {
-      digrams_.emplace(key, s);
+    bool inserted = false;
+    Sym* found =
+        digrams_.FindOrInsert(IdOf(s), IdOf(s->next), s, &inserted)->sym;
+    if (inserted) {
       return false;
     }
-    Sym* found = it->second;
     if (found->next != s) {  // Overlapping occurrence (e.g. "aaa"): skip.
       Match(s, found);
     }
@@ -274,7 +426,7 @@ class Inducer {
     q->guard.next = &q->guard;
     q->guard.prev = &q->guard;
     FreeRule(q);
-    delete s;
+    syms_.Delete(s);
 
     // The spliced-in boundary digram (l, right) may duplicate a digram that
     // already exists elsewhere in the grammar. Blindly indexing it (as the
@@ -296,25 +448,28 @@ class Inducer {
     moved->slot = q->slot;
     all_rules_[q->slot] = moved;
     all_rules_.pop_back();
-    delete q;
+    rules_.Delete(q);
   }
 
-  Rule* root_ = nullptr;
+  Pool<Sym> syms_;
+  Pool<Rule> rules_;
+  DigramIndex digrams_;
   uint64_t next_serial_ = 0;
-  std::unordered_map<uint64_t, Sym*> digrams_;
-  std::vector<Rule*> all_rules_;
+  Rule root_;
+  std::vector<Rule*> all_rules_;  // the live rules, root_ at slot 0
 };
 
 Grammar Inducer::Extract(size_t num_tokens) {
-  // Assign dense ids by first encounter in a pre-order walk from R0.
-  std::unordered_map<const Rule*, int32_t> ids;
+  // Assign dense ids by first encounter in a pre-order walk from R0;
+  // ids[rule->slot] is the rule's id, -1 until it is reached.
+  std::vector<int32_t> ids(all_rules_.size(), -1);
   std::vector<Rule*> ordered;
-  ids.emplace(root_, 0);
-  ordered.push_back(root_);
+  ids[root_.slot] = 0;
+  ordered.push_back(&root_);
   for (size_t i = 0; i < ordered.size(); ++i) {
     for (Sym* s = ordered[i]->first(); !s->IsGuard(); s = s->next) {
-      if (s->IsNonTerminal() && !ids.contains(s->rule)) {
-        ids.emplace(s->rule, static_cast<int32_t>(ordered.size()));
+      if (s->IsNonTerminal() && ids[s->rule->slot] < 0) {
+        ids[s->rule->slot] = static_cast<int32_t>(ordered.size());
         ordered.push_back(s->rule);
       }
     }
@@ -327,9 +482,9 @@ Grammar Inducer::Extract(size_t num_tokens) {
     out.use_count = ordered[i]->use_count;
     for (Sym* s = ordered[i]->first(); !s->IsGuard(); s = s->next) {
       if (s->IsTerminal()) {
-        out.rhs.push_back(GrammarSymbol{true, s->terminal});
+        out.rhs.push_back(GrammarSymbol{true, s->terminal()});
       } else {
-        out.rhs.push_back(GrammarSymbol{false, ids.at(s->rule)});
+        out.rhs.push_back(GrammarSymbol{false, ids[s->rule->slot]});
       }
     }
   }

@@ -1,7 +1,5 @@
 #include "sax/alphabet.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 #include "util/math_utils.h"
 
@@ -26,13 +24,6 @@ NormalAlphabet::NormalAlphabet(size_t size) : size_(size) {
       }
     }
   }
-}
-
-size_t NormalAlphabet::IndexOf(double value) const {
-  // First breakpoint strictly greater than value; values on a breakpoint go
-  // to the upper region, matching the SAX reference implementation.
-  auto it = std::upper_bound(breakpoints_.begin(), breakpoints_.end(), value);
-  return static_cast<size_t>(it - breakpoints_.begin());
 }
 
 double NormalAlphabet::CellDistance(size_t r, size_t c) const {

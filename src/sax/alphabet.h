@@ -27,8 +27,20 @@ class NormalAlphabet {
   /// The a-1 interior breakpoints, ascending.
   const std::vector<double>& breakpoints() const { return breakpoints_; }
 
-  /// Maps a z-normalized value to its letter index in [0, size).
-  size_t IndexOf(double value) const;
+  /// Maps a z-normalized value to its letter index in [0, size): the index
+  /// std::upper_bound returns over breakpoints(), so a value on a
+  /// breakpoint goes to the upper region (as in the SAX reference
+  /// implementation) and NaN to the last. Counting the breakpoints that
+  /// `value` is not below gives that index without branches; `NaN < cut` is
+  /// false, so NaN counts them all. Inline: the SAX kernel calls it for
+  /// every PAA segment of every window.
+  size_t IndexOf(double value) const {
+    size_t index = 0;
+    for (const double cut : breakpoints_) {
+      index += !(value < cut);
+    }
+    return index;
+  }
 
   /// Maps a z-normalized value to its letter ('a' + index).
   char LetterOf(double value) const { return IndexFor('a', IndexOf(value)); }

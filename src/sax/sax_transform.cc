@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 
-#include "backend/backend.h"
 #include "obs/trace.h"
 #include "sax/paa.h"
 #include "timeseries/rolling_stats.h"
@@ -163,24 +162,6 @@ bool ZRowFromSource(const Source& src, const SaxPaaGeometry& g,
   // Relative error of `inv`, as an absolute error per unit of |z|.
   const double inv_rel_err = flat ? 0.0 : sd_err * inv;
 
-  // Segment-sum batching: when the source exposes the backend seam (a
-  // contiguous prefix table), the divisible equal-step case hands all
-  // `paa` range sums to the active backend's PaaSegmentSums kernel in one
-  // call. Each output is the identical single prefix subtraction
-  // src.Sum() performs, so the batched and per-segment paths are
-  // bit-identical and the guard decisions are unaffected by dispatch. The
-  // online ring source has no contiguous prefix and keeps the generic
-  // path.
-  constexpr size_t kMaxBatchedPaa = 64;
-  double seg_sums[kMaxBatchedPaa];
-  bool batched = false;
-  if constexpr (requires { src.SegmentSums(pos, g.paa, g.step, seg_sums); }) {
-    if (g.divisible && g.step > 1 && g.paa <= kMaxBatchedPaa) {
-      src.SegmentSums(pos, g.paa, g.step, seg_sums);
-      batched = true;
-    }
-  }
-
   for (size_t j = 0; j < g.paa; ++j) {
     double seg_mean;
     double seg_err;
@@ -190,8 +171,7 @@ bool ZRowFromSource(const Source& src, const SaxPaaGeometry& g,
         seg_err = 0.0;
       } else {
         const size_t seg_pos = pos + j * g.step;
-        seg_mean = (batched ? seg_sums[j] : src.Sum(seg_pos, g.step)) /
-                   static_cast<double>(g.step);
+        seg_mean = src.Sum(seg_pos, g.step) / static_cast<double>(g.step);
         seg_err = src.RangeSumErrorBound(seg_pos, g.step) /
                   static_cast<double>(g.step);
       }
@@ -213,18 +193,12 @@ bool ZRowFromSource(const Source& src, const SaxPaaGeometry& g,
 }
 
 /// Source over a materialized series backed by RollingStats prefix sums.
-/// Exposes the backend seam (SegmentSums) so the z-row kernel can batch
-/// the divisible-case PAA sums through the dispatched kernel.
+/// Every member is inline, so a z-row makes no call out of the kernel.
 struct SpanSource {
   std::span<const double> series;
   const RollingStats* stats;
-  const backend::KernelBackend* backend;
 
   double Sample(size_t i) const { return series[i]; }
-  void SegmentSums(size_t pos, size_t count, size_t step, double* out) const {
-    backend->paa_segment_sums(stats->PrefixSums().data() + pos, count, step,
-                              out);
-  }
   double Sum(size_t pos, size_t len) const { return stats->Sum(pos, len); }
   double SumSq(size_t pos, size_t len) const { return stats->SumSq(pos, len); }
   double RangeSumErrorBound(size_t pos, size_t len) const {
@@ -237,34 +211,42 @@ struct SpanSource {
 
 /// Source over the online rings: sample i of the stream lives at
 /// ring[i % window], prefix value P(i) at psum[i % (window + 1)]. Valid only
-/// for indices inside the currently retained window, which is all the
-/// geometry ever asks for. The error bounds reuse RollingStats' formula
-/// (kRangeSumErrFactor over the larger prefix endpoint) so both layers
-/// guard identically.
+/// for the window that starts at stream index `at`, which is all the
+/// geometry ever asks for, so each slot is found from the window's own
+/// first slots by one add and one wrap instead of a division per access.
+/// The error bounds reuse RollingStats' formula (kRangeSumErrFactor over
+/// the larger prefix endpoint) so both layers guard identically.
 struct RingSource {
-  const std::vector<double>* ring;
-  const std::vector<double>* psum;
-  const std::vector<double>* psumsq;
+  const double* ring;
+  const double* psum;
+  const double* psumsq;
   size_t window;
+  size_t at;
+  size_t at_sample;  // at % window
+  size_t at_prefix;  // at % (window + 1)
 
-  double Sample(size_t i) const { return (*ring)[i % window]; }
-  double PrefixAt(const std::vector<double>& p, size_t i) const {
-    return p[i % (window + 1)];
+  double Sample(size_t i) const {
+    const size_t slot = at_sample + (i - at);
+    return ring[slot < window ? slot : slot - window];
+  }
+  double PrefixAt(const double* p, size_t i) const {
+    const size_t slot = at_prefix + (i - at);
+    return p[slot <= window ? slot : slot - (window + 1)];
   }
   double Sum(size_t pos, size_t len) const {
-    return PrefixAt(*psum, pos + len) - PrefixAt(*psum, pos);
+    return PrefixAt(psum, pos + len) - PrefixAt(psum, pos);
   }
   double SumSq(size_t pos, size_t len) const {
-    return PrefixAt(*psumsq, pos + len) - PrefixAt(*psumsq, pos);
+    return PrefixAt(psumsq, pos + len) - PrefixAt(psumsq, pos);
   }
   double RangeSumErrorBound(size_t pos, size_t len) const {
-    const double lo = std::abs(PrefixAt(*psum, pos));
-    const double hi = std::abs(PrefixAt(*psum, pos + len));
+    const double lo = std::abs(PrefixAt(psum, pos));
+    const double hi = std::abs(PrefixAt(psum, pos + len));
     return kRangeSumErrFactor * std::max({1.0, lo, hi});
   }
   double RangeSumSqErrorBound(size_t pos, size_t len) const {
-    const double lo = PrefixAt(*psumsq, pos);
-    const double hi = PrefixAt(*psumsq, pos + len);
+    const double lo = PrefixAt(psumsq, pos);
+    const double hi = PrefixAt(psumsq, pos + len);
     return kRangeSumErrFactor * std::max({1.0, lo, hi});
   }
 };
@@ -322,7 +304,7 @@ StatusOr<SaxRecords> DiscretizeImpl(std::span<const double> series,
     return RollingStats(series);
   }();
   GVA_OBS_SPAN("sax.words");
-  const SpanSource src{series, &stats, &backend::ActiveBackend()};
+  const SpanSource src{series, &stats};
   std::vector<double> z(opts.paa_size);
   std::vector<double> err(opts.paa_size);
   return CollectRecords(
@@ -401,7 +383,8 @@ bool OnlineSaxDiscretizer::Push(double value, std::string& word, size_t* pos) {
   const size_t at = pushed_ - w;
   *pos = at;
   word.resize(opts_.paa_size);
-  const RingSource src{&ring_, &psum_, &psumsq_, w};
+  const RingSource src{ring_.data(), psum_.data(), psumsq_.data(), w, at,
+                       at % w, at % m};
   const bool row_ok = ZRowFromSource(src, geometry_, opts_.znorm_epsilon, at,
                                      zrow_.data(), zerr_.data());
   // The reference path reads the window materialized from the ring: the w
@@ -445,8 +428,7 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
     owned_stats.emplace(series);
   }
   const SpanSource src{series,
-                       shared_stats != nullptr ? shared_stats : &*owned_stats,
-                       &backend::ActiveBackend()};
+                       shared_stats != nullptr ? shared_stats : &*owned_stats};
   const SaxPaaGeometry geometry(opts);
   SaxZPlane plane;
   plane.window = opts.window;

@@ -1,9 +1,5 @@
 #include "timeseries/rolling_stats.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "util/check.h"
 
 namespace gva {
@@ -30,18 +26,6 @@ RollingStats::Moments RollingStats::MomentsOf(size_t pos, size_t len) const {
     variance = 0.0;
   }
   return Moments{mean, variance};
-}
-
-double RollingStats::RangeSumErrorBound(size_t pos, size_t len) const {
-  const double lo = std::abs(prefix_[pos]);
-  const double hi = std::abs(prefix_[pos + len]);
-  return kRangeSumErrFactor * std::max({1.0, lo, hi});
-}
-
-double RollingStats::RangeSumSqErrorBound(size_t pos, size_t len) const {
-  const double lo = prefix_sq_[pos];
-  const double hi = prefix_sq_[pos + len];
-  return kRangeSumErrFactor * std::max({1.0, lo, hi});
 }
 
 }  // namespace gva

@@ -1,6 +1,8 @@
 #ifndef GVA_TIMESERIES_ROLLING_STATS_H_
 #define GVA_TIMESERIES_ROLLING_STATS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
@@ -70,18 +72,20 @@ class RollingStats {
   /// prefix values the difference cancels, with a generous factor for the
   /// accumulation error both summations carry. Used by the SAX kernel to
   /// decide when a prefix-derived value is too close to a discretization
-  /// breakpoint to trust.
-  double RangeSumErrorBound(size_t pos, size_t len) const;
+  /// breakpoint to trust. Inline, like Sum(): the SAX kernel evaluates it
+  /// once per window and once per PAA segment.
+  double RangeSumErrorBound(size_t pos, size_t len) const {
+    const double lo = std::abs(prefix_[pos]);
+    const double hi = std::abs(prefix_[pos + len]);
+    return kRangeSumErrFactor * std::max({1.0, lo, hi});
+  }
 
   /// Same bound for SumSq(pos, len).
-  double RangeSumSqErrorBound(size_t pos, size_t len) const;
-
-  /// The raw prefix-sum table (size() + 1 entries, PrefixSums()[i] = sum of
-  /// the first i values). Exposed so batched kernels — the backend layer's
-  /// PaaSegmentSums — can difference many ranges in one pass; each such
-  /// difference is the identical single IEEE subtraction Sum() performs, so
-  /// batching never changes a value.
-  std::span<const double> PrefixSums() const { return prefix_; }
+  double RangeSumSqErrorBound(size_t pos, size_t len) const {
+    const double lo = prefix_sq_[pos];
+    const double hi = prefix_sq_[pos + len];
+    return kRangeSumErrFactor * std::max({1.0, lo, hi});
+  }
 
  private:
   size_t n_;

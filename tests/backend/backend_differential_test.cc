@@ -146,10 +146,10 @@ TEST(BackendDifferentialTest, FlatWindowsAgreeBitwiseOnEveryBackend) {
 }
 
 TEST(BackendDifferentialTest, DiscretizeIsByteIdenticalUnderEveryBackend) {
-  // Dispatch reaches SAX only through PaaSegmentSums, which is bit-exact
-  // everywhere, so the words and offsets must match byte for byte — both
-  // for divisible geometry (the batched backend path) and non-divisible
-  // geometry (the generic fractional path).
+  // The SAX kernel makes no dispatched call (it reads segment sums straight
+  // from the prefix table), so the active backend must not change a word or
+  // an offset — both for divisible geometry (whole-sample segments) and
+  // non-divisible geometry (the fractional-segment path).
   const std::vector<double> series = MakeMixedSeries(5000, 5);
   for (const size_t window : {120u, 97u}) {  // divisible and ragged vs paa=6
     SaxOptions opts;

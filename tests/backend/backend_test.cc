@@ -23,7 +23,6 @@ TEST(BackendRegistryTest, ScalarIsAlwaysAvailable) {
   EXPECT_EQ(scalar->lanes, 1u);
   EXPECT_TRUE(scalar->bit_exact_distance);
   EXPECT_NE(scalar->znorm_distance_block, nullptr);
-  EXPECT_NE(scalar->paa_segment_sums, nullptr);
 }
 
 TEST(BackendRegistryTest, AvailableBackendsEndsWithScalarAndIsComplete) {
@@ -34,7 +33,6 @@ TEST(BackendRegistryTest, AvailableBackendsEndsWithScalarAndIsComplete) {
   for (const KernelBackend* b : backends) {
     EXPECT_NE(b->name, nullptr);
     EXPECT_NE(b->znorm_distance_block, nullptr);
-    EXPECT_NE(b->paa_segment_sums, nullptr);
     EXPECT_GE(b->lanes, 1u);
   }
   // SIMD backends that the registry hands out must also be findable by
@@ -95,36 +93,6 @@ TEST(BackendRegistryTest, SelectionSurvivesCaptureSession) {
   ASSERT_TRUE(SetActiveBackend("auto").ok());
   EXPECT_EQ(obs::GlobalMetrics().gauge("backend.selected").value(),
             static_cast<int64_t>(ActiveBackend().id));
-}
-
-TEST(BackendPaaSegmentSumsTest, BitIdenticalToScalarOnEveryBackend) {
-  // The PAA kernel's contract is bit-exactness: each output is the single
-  // IEEE subtraction out[j] = prefix[(j+1)*step] - prefix[j*step], so the
-  // SAX guarded-fallback layer may ignore dispatch entirely. Cover lane
-  // tails (segments not a multiple of 4), step 1, and large magnitudes.
-  Rng rng(2024);
-  for (int trial = 0; trial < 50; ++trial) {
-    const size_t segments = 1 + rng.UniformInt(33);  // 1..33
-    const size_t step = 1 + rng.UniformInt(64);      // 1..64
-    std::vector<double> prefix(segments * step + 1);
-    double acc = 0.0;
-    for (double& p : prefix) {
-      p = acc;
-      acc += (rng.UniformDouble() - 0.5) * 2000.0;
-    }
-    std::vector<double> want(segments);
-    ScalarBackend()->paa_segment_sums(prefix.data(), segments, step,
-                                      want.data());
-    for (const KernelBackend* b : AvailableBackends()) {
-      std::vector<double> got(segments, -1.0);
-      b->paa_segment_sums(prefix.data(), segments, step, got.data());
-      for (size_t j = 0; j < segments; ++j) {
-        EXPECT_EQ(got[j], want[j])
-            << b->name << " trial=" << trial << " j=" << j
-            << " segments=" << segments << " step=" << step;
-      }
-    }
-  }
 }
 
 TEST(BackendDistanceKernelTest, InfiniteLimitNeverAbandons) {

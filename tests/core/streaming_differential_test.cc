@@ -122,8 +122,8 @@ TEST_P(StreamingDifferentialTest, StreamEqualsBatchOnSuffix) {
   ThreadPool single(1);
   ThreadPool quad(4);
 
-  // Every cadence tick draws a report (exercising the difference-updated
-  // density curve); the expensive batch recomputation is spot-checked on a
+  // Every cadence tick draws a report (exercising mid-stream grammar
+  // snapshots); the expensive batch recomputation is spot-checked on a
   // subsample of ~20 reports so the fine cadences stay tractable under
   // sanitizers.
   const size_t reports_expected = data.series.size() / report_every;

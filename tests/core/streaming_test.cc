@@ -179,8 +179,8 @@ TEST(StreamingTest, MinDistNumerosityMatchesBatch) {
 }
 
 // Reporting after every single sample must neither disturb the stream state
-// nor change any report: the difference-updated density curve equals the
-// from-scratch batch curve at every step.
+// nor change any report: the streaming density curve equals the batch
+// curve at every step.
 TEST(StreamingTest, ReportAtEverySampleMatchesBatch) {
   LabeledSeries data = MakeSineWithAnomaly(600, 40.0, 0.04, 300, 50, 13);
   StreamingOptions opts = Opts(60, 4, 4);

@@ -287,6 +287,20 @@ TEST(SequiturRegressionTest, ExpandBoundaryDigramDuplicates) {
   CheckAllInvariants(*g, input);
 }
 
+TEST(SequiturRegressionTest, DigramsWithCollidingKeysStayDistinct) {
+  // The digram (1159822835, 188684876) and the digram (2, 0) have the same
+  // 64-bit mix of their symbol ids. An index keyed by the mix alone took
+  // the second for a repeat of the first and induced R0 -> R1 7 R1,
+  // R1 -> 2 0, whose expansion "2 0 7 2 0" is not the input.
+  std::vector<int32_t> input{1159822835, 188684876, 7, 2, 0};
+  auto g = InferGrammar(input);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->ExpandToTerminals(0), input);
+  EXPECT_EQ(g->size(), 1u) << "no digram repeats, so R0 is the only rule";
+  const Status audit = AuditGrammar(*g, input);
+  EXPECT_TRUE(audit.ok()) << audit.message();
+}
+
 TEST(SequiturRegressionTest, LongRunsMixedWithMotifs) {
   // Runs of length 3-6 interleaved with repeated pairs stress the
   // twin-inheritance path in DeleteDigram.

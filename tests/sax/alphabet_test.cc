@@ -1,5 +1,10 @@
 #include "sax/alphabet.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/math_utils.h"
@@ -51,6 +56,32 @@ TEST(AlphabetTest, IndexOfMapsToEquiprobableRegions) {
 TEST(AlphabetTest, ValueOnBreakpointGoesUp) {
   NormalAlphabet a(4);
   EXPECT_EQ(a.IndexOf(0.0), 2u);  // middle breakpoint -> upper region
+}
+
+TEST(AlphabetTest, IndexOfIsUpperBoundOnEdgeValues) {
+  // IndexOf counts breakpoints instead of binary-searching them; it must
+  // return std::upper_bound's index on every value where the two could
+  // part: NaN (upper_bound's index is the end), infinities, both zeros,
+  // and each breakpoint with its two neighbouring doubles.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t size = kMinAlphabetSize; size <= kMaxAlphabetSize; ++size) {
+    const NormalAlphabet a(size);
+    const std::vector<double>& cuts = a.breakpoints();
+    std::vector<double> values{std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::quiet_NaN(),
+                               kInf, -kInf, 0.0, -0.0};
+    for (const double cut : cuts) {
+      values.push_back(cut);
+      values.push_back(std::nextafter(cut, -kInf));
+      values.push_back(std::nextafter(cut, kInf));
+    }
+    for (const double v : values) {
+      const size_t want = static_cast<size_t>(
+          std::upper_bound(cuts.begin(), cuts.end(), v) - cuts.begin());
+      EXPECT_EQ(a.IndexOf(v), want) << "size " << size << " value " << v;
+    }
+    EXPECT_EQ(a.IndexOf(std::numeric_limits<double>::quiet_NaN()), size - 1);
+  }
 }
 
 TEST(AlphabetTest, LetterOf) {
