@@ -32,12 +32,12 @@ class NormalAlphabet {
   /// breakpoint goes to the upper region (as in the SAX reference
   /// implementation) and NaN to the last. Counting the breakpoints that
   /// `value` is not below gives that index without branches; `NaN < cut` is
-  /// false, so NaN counts them all. Inline: the SAX kernel calls it for
-  /// every PAA segment of every window.
+  /// false, so NaN counts them all. The SAX block kernel's letter stage
+  /// counts the same way over a block of values.
   size_t IndexOf(double value) const {
     size_t index = 0;
     for (const double cut : breakpoints_) {
-      index += !(value < cut);
+      index += static_cast<size_t>(!(value < cut));
     }
     return index;
   }

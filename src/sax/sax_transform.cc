@@ -32,8 +32,11 @@ Status SaxOptions::Validate() const {
         StrFormat("alphabet_size (%zu) outside [%zu, %zu]", alphabet_size,
                   kMinAlphabetSize, kMaxAlphabetSize));
   }
-  if (znorm_epsilon < 0.0) {
-    return Status::InvalidArgument("znorm_epsilon must be non-negative");
+  // Written as a negated membership test so NaN fails it too.
+  if (!(znorm_epsilon >= 0.0 &&
+        znorm_epsilon <= std::numeric_limits<double>::max())) {
+    return Status::InvalidArgument(
+        "znorm_epsilon must be finite and non-negative");
   }
   return Status::Ok();
 }
@@ -67,155 +70,23 @@ Status ValidateSeries(std::span<const double> series, const SaxOptions& opts) {
   return Status::Ok();
 }
 
-/// Maps a row of z-space PAA values to letters under `alphabet`, guarding
-/// each value against the breakpoints adjacent to its chosen region: the
-/// reference path's value differs from z[j] by at most err[j], so a value
-/// that close to a cut could land on the other side there. Returns false
-/// when any guard fires (caller must use the reference path). Called only
-/// by SaxWord, so every entry point makes the same letter decisions.
-bool MapLettersFromZ(const double* z, const double* err, size_t paa,
-                     const NormalAlphabet& alphabet, std::string& word) {
-  const auto& cuts = alphabet.breakpoints();
-  for (size_t j = 0; j < paa; ++j) {
-    const size_t idx = alphabet.IndexOf(z[j]);
-    if (idx > 0 && z[j] - cuts[idx - 1] <= err[j]) {
-      return false;
-    }
-    if (idx < cuts.size() && cuts[idx] - z[j] <= err[j]) {
-      return false;
-    }
-    word[j] = NormalAlphabet::IndexFor('a', idx);
-  }
-  return true;
-}
-
-/// Weighted raw-value sum of the fractional segment `seg` of the window at
-/// `pos`, mirroring the exact-PAA overlap weights of Paa(). `*err` receives
-/// a bound on the sum's divergence from naive summation, built from the
-/// prefix endpoints and boundary samples actually used. `Source` abstracts
-/// where the samples and prefix sums live (a materialized span + RollingStats
-/// for the batch kernels, bounded rings for the online one).
-template <typename Source>
-double FractionalSegmentSum(const Source& src, size_t pos,
-                            const SaxPaaGeometry::Segment& seg, double* err) {
-  const double x_first = src.Sample(pos + seg.first);
-  // Segment contained in a single sample.
-  if (seg.last <= seg.first) {
-    *err = 4.0 * kMachEps * std::abs(x_first);
-    return (seg.hi - seg.lo) * x_first;
-  }
-  const double first_end = std::min(seg.hi, static_cast<double>(seg.first + 1));
-  double sum = (first_end - seg.lo) * x_first;
-  double bound = 4.0 * kMachEps * std::abs(x_first);
-  const size_t full_begin = seg.first + 1;
-  if (seg.last > full_begin) {
-    sum += src.Sum(pos + full_begin, seg.last - full_begin);
-    bound += src.RangeSumErrorBound(pos + full_begin, seg.last - full_begin);
-  }
-  const double frac = seg.hi - static_cast<double>(seg.last);
-  if (frac > 0.0) {
-    const double x_last = src.Sample(pos + seg.last);
-    sum += frac * x_last;
-    bound += 4.0 * kMachEps * std::abs(x_last);
-  }
-  *err = bound;
-  return sum;
-}
-
-/// The alphabet-independent half of the word function: computes the z-space
-/// PAA values and conservative error bounds of the window at `pos` into
-/// z[0..paa) / err[0..paa). Every z-row — Discretize's, a SaxZPlane row,
-/// the online ring's — comes from here, so their guard decisions and z
-/// values use the same arithmetic. Returns false when the window's mean or
-/// variance is not finite or the flat-window decision falls inside its
-/// numerical guard (the caller must use the reference path).
-template <typename Source>
-bool ZRowFromSource(const Source& src, const SaxPaaGeometry& g,
-                    double znorm_epsilon, size_t pos, double* z, double* err) {
-  const double n = static_cast<double>(g.window);
-  const double mean = src.Sum(pos, g.window) / n;
-  double variance = src.SumSq(pos, g.window) / n - mean * mean;
-  // One non-finite sample poisons every later prefix sum, and NaN passes
-  // every guard below (all its comparisons are false), so such windows go
-  // to the reference path, which reads the samples themselves.
-  if (!std::isfinite(mean) || !std::isfinite(variance)) {
-    return false;
-  }
-  if (variance < 0.0) {  // numerical noise on near-constant ranges
-    variance = 0.0;
-  }
-  const double sd = std::sqrt(variance);
-
-  // Error bounds for the prefix-derived window statistics versus the
-  // reference's naive summation.
-  const double mean_err = src.RangeSumErrorBound(pos, g.window) / n;
-  const double var_err = src.RangeSumSqErrorBound(pos, g.window) / n +
-                         (2.0 * std::abs(mean) + mean_err) * mean_err;
-  const double sd_err = variance > var_err ? var_err / sd : std::sqrt(var_err);
-
-  // Guard the flat-window decision itself.
-  if (std::abs(sd - znorm_epsilon) <= sd_err) {
-    return false;
-  }
-  const bool flat = sd < znorm_epsilon;
-  const double inv = flat ? 1.0 : 1.0 / sd;
-  // Relative error of `inv`, as an absolute error per unit of |z|.
-  const double inv_rel_err = flat ? 0.0 : sd_err * inv;
-
-  for (size_t j = 0; j < g.paa; ++j) {
-    double seg_mean;
-    double seg_err;
-    if (g.divisible) {
-      if (g.step == 1) {
-        seg_mean = src.Sample(pos + j);
-        seg_err = 0.0;
-      } else {
-        const size_t seg_pos = pos + j * g.step;
-        seg_mean = src.Sum(seg_pos, g.step) / static_cast<double>(g.step);
-        seg_err = src.RangeSumErrorBound(seg_pos, g.step) /
-                  static_cast<double>(g.step);
-      }
-    } else {
-      const SaxPaaGeometry::Segment& seg = g.segments[j];
-      double sum_err = 0.0;
-      seg_mean = FractionalSegmentSum(src, pos, seg, &sum_err) /
-                 (seg.hi - seg.lo);
-      seg_err = sum_err / (seg.hi - seg.lo);
-    }
-    // The last term covers the reference path's own rounding: it sums up
-    // to `window` z-space values per segment, each O(|z|).
-    z[j] = (seg_mean - mean) * inv;
-    err[j] = (seg_err + mean_err) * inv + std::abs(z[j]) * inv_rel_err +
-             (16.0 + static_cast<double>(g.window)) * kMachEps *
-                 (1.0 + std::abs(z[j]));
-  }
-  return true;
-}
-
-/// Source over a materialized series backed by RollingStats prefix sums.
-/// Every member is inline, so a z-row makes no call out of the kernel.
+/// Samples and prefix sums of a materialized series (RollingStats' arrays).
+/// Every member is inline, so the kernel's loops make no call.
 struct SpanSource {
-  std::span<const double> series;
-  const RollingStats* stats;
+  const double* samples;
+  const double* prefix;
+  const double* prefix_sq;
 
-  double Sample(size_t i) const { return series[i]; }
-  double Sum(size_t pos, size_t len) const { return stats->Sum(pos, len); }
-  double SumSq(size_t pos, size_t len) const { return stats->SumSq(pos, len); }
-  double RangeSumErrorBound(size_t pos, size_t len) const {
-    return stats->RangeSumErrorBound(pos, len);
-  }
-  double RangeSumSqErrorBound(size_t pos, size_t len) const {
-    return stats->RangeSumSqErrorBound(pos, len);
-  }
+  double Sample(size_t i) const { return samples[i]; }
+  double Prefix(size_t i) const { return prefix[i]; }
+  double PrefixSq(size_t i) const { return prefix_sq[i]; }
 };
 
-/// Source over the online rings: sample i of the stream lives at
-/// ring[i % window], prefix value P(i) at psum[i % (window + 1)]. Valid only
-/// for the window that starts at stream index `at`, which is all the
-/// geometry ever asks for, so each slot is found from the window's own
+/// Samples and prefix sums of the online rings: sample i of the stream
+/// lives at ring[i % window], prefix value P(i) at psum[i % (window + 1)].
+/// Valid only for the window that starts at stream index `at`, which is all
+/// the kernel ever asks for, so each slot is found from the window's own
 /// first slots by one add and one wrap instead of a division per access.
-/// The error bounds reuse RollingStats' formula (kRangeSumErrFactor over
-/// the larger prefix endpoint) so both layers guard identically.
 struct RingSource {
   const double* ring;
   const double* psum;
@@ -233,60 +104,275 @@ struct RingSource {
     const size_t slot = at_prefix + (i - at);
     return p[slot <= window ? slot : slot - (window + 1)];
   }
-  double Sum(size_t pos, size_t len) const {
-    return PrefixAt(psum, pos + len) - PrefixAt(psum, pos);
-  }
-  double SumSq(size_t pos, size_t len) const {
-    return PrefixAt(psumsq, pos + len) - PrefixAt(psumsq, pos);
-  }
-  double RangeSumErrorBound(size_t pos, size_t len) const {
-    const double lo = std::abs(PrefixAt(psum, pos));
-    const double hi = std::abs(PrefixAt(psum, pos + len));
-    return kRangeSumErrFactor * std::max({1.0, lo, hi});
-  }
-  double RangeSumSqErrorBound(size_t pos, size_t len) const {
-    const double lo = PrefixAt(psumsq, pos);
-    const double hi = PrefixAt(psumsq, pos + len);
-    return kRangeSumErrFactor * std::max({1.0, lo, hi});
-  }
+  double Prefix(size_t i) const { return PrefixAt(psum, i); }
+  double PrefixSq(size_t i) const { return PrefixAt(psumsq, i); }
 };
 
-/// The one SAX word function. `z`/`err` hold the window's z-row and
-/// `row_ok` says whether its stats guard held (ZRowFromSource's return, or
-/// !SaxZPlane::fallback[row]). Writes MapLettersFromZ's letters when the
-/// row and every letter guard hold, and otherwise the reference
-/// SaxWordForWindow over `window()`, which materializes the window only
-/// then. Returns false when the reference computed the word.
-template <typename Window>
-bool SaxWord(bool row_ok, const double* z, const double* err,
-             const SaxOptions& opts, const NormalAlphabet& alphabet,
-             const Window& window, std::string& word) {
-  if (row_ok && MapLettersFromZ(z, err, opts.paa_size, alphabet, word)) {
-    return true;
-  }
-  word = SaxWordForWindow(window(), opts, alphabet);
-  return false;
+/// Sum over [pos, pos + len) from `src`'s prefix sums, and the bound on its
+/// divergence from naive summation (RollingStats' formula, so every source
+/// guards identically).
+template <typename Source>
+double RangeSum(Source src, size_t pos, size_t len) {
+  return src.Prefix(pos + len) - src.Prefix(pos);
+}
+template <typename Source>
+double RangeSumError(Source src, size_t pos, size_t len) {
+  return PrefixRangeErrorBound(std::abs(src.Prefix(pos)),
+                               std::abs(src.Prefix(pos + len)));
 }
 
-/// The records loop of the batch entry points: `word_at(pos, word)` writes
-/// the word of the window at `pos` into one reused buffer, and only the
-/// words KeepWord keeps are copied into the records.
-template <typename WordAt>
-SaxRecords CollectRecords(size_t windows, const SaxOptions& opts,
-                          NumerosityReduction numerosity,
-                          const NormalAlphabet& alphabet,
-                          const WordAt& word_at) {
+/// Weighted raw-value sum of the fractional segment `seg` of the window at
+/// `pos`, mirroring the exact-PAA overlap weights of Paa(). `*err` receives
+/// a bound on the sum's divergence from naive summation, built from the
+/// prefix endpoints and boundary samples actually used.
+template <typename Source>
+double FractionalSegmentSum(Source src, size_t pos,
+                            const SaxPaaGeometry::Segment& seg, double* err) {
+  const double x_first = src.Sample(pos + seg.first);
+  // Segment contained in a single sample.
+  if (seg.last <= seg.first) {
+    *err = 4.0 * kMachEps * std::abs(x_first);
+    return (seg.hi - seg.lo) * x_first;
+  }
+  const double first_end = std::min(seg.hi, static_cast<double>(seg.first + 1));
+  double sum = (first_end - seg.lo) * x_first;
+  double bound = 4.0 * kMachEps * std::abs(x_first);
+  const size_t full_begin = seg.first + 1;
+  if (seg.last > full_begin) {
+    sum += RangeSum(src, pos + full_begin, seg.last - full_begin);
+    bound += RangeSumError(src, pos + full_begin, seg.last - full_begin);
+  }
+  const double frac = seg.hi - static_cast<double>(seg.last);
+  if (frac > 0.0) {
+    const double x_last = src.Sample(pos + seg.last);
+    sum += frac * x_last;
+    bound += 4.0 * kMachEps * std::abs(x_last);
+  }
+  *err = bound;
+  return sum;
+}
+
+/// Where stage (a) left the segment means: segment j of block window i is
+/// at index i + j * stride of `mean` and `err`.
+struct Segments {
+  const double* mean;
+  const double* err;
+  size_t stride;
+};
+
+/// Stage (a): the PAA segment means, and their error bounds, that the
+/// windows [pos, pos + count) read. When paa_size divides the window,
+/// segment j of the window at p is the segment at position p + j * step,
+/// so consecutive windows share segments: index p of the output holds the
+/// segment at pos + p, and a block computes each position it reads once.
+/// A block of one window (the online discretizer's) computes just its own
+/// paa segments. The step == 1 segment is the exact sample, with no error.
+/// A fractional geometry computes each window's segments on their own.
+template <typename Source>
+Segments SegmentMeans(Source src, const SaxPaaGeometry& g, size_t pos,
+                      size_t count, SaxBlockScratch& block) {
+  double* mean = block.seg_mean.data();
+  double* err = block.seg_err.data();
+  if (!g.divisible) {
+    for (size_t j = 0; j < g.paa; ++j) {
+      const SaxPaaGeometry::Segment& seg = g.segments[j];
+      const double width = seg.hi - seg.lo;
+      for (size_t i = 0; i < count; ++i) {
+        double sum_err = 0.0;
+        mean[j * count + i] =
+            FractionalSegmentSum(src, pos + i, seg, &sum_err) / width;
+        err[j * count + i] = sum_err / width;
+      }
+    }
+    return {mean, err, count};
+  }
+  if (g.step == 1) {
+    for (size_t p = 0; p < count + g.paa - 1; ++p) {
+      mean[p] = src.Sample(pos + p);
+      err[p] = 0.0;
+    }
+    return {mean, err, 1};
+  }
+  const double step = static_cast<double>(g.step);
+  const size_t stride = count == 1 ? g.step : 1;
+  const size_t segments = count == 1 ? g.paa : count + (g.paa - 1) * g.step;
+  for (size_t k = 0; k < segments; ++k) {
+    const size_t p = k * stride;
+    mean[p] = RangeSum(src, pos + p, g.step) / step;
+    err[p] = RangeSumError(src, pos + p, g.step) / step;
+  }
+  return {mean, err, g.step};
+}
+
+/// Stage (b): each window's mean, standard deviation and their error
+/// bounds versus the reference's naive summation, for windows
+/// [pos, pos + count). fallback[i] is set to 1 when the window's mean or
+/// variance is not finite — one non-finite sample poisons every later
+/// prefix sum, and NaN passes every later guard (all its comparisons are
+/// false), so such windows go to the reference path, which reads the
+/// samples themselves — or when the flat-window decision (sd < epsilon)
+/// falls inside its bound. Flags are doubles, and the outputs are declared
+/// unaliased, so that the loop vectorizes.
+template <typename Source>
+void WindowStats(Source src, size_t window, double znorm_epsilon, size_t pos,
+                 size_t count, double* __restrict out_mean,
+                 double* __restrict out_mean_err, double* __restrict out_inv,
+                 double* __restrict out_inv_rel_err,
+                 double* __restrict fallback) {
+  const double n = static_cast<double>(window);
+  for (size_t i = 0; i < count; ++i) {
+    const double mean = RangeSum(src, pos + i, window) / n;
+    const double raw_variance =
+        (src.PrefixSq(pos + i + window) - src.PrefixSq(pos + i)) / n -
+        mean * mean;
+    const bool finite = std::isfinite(mean) & std::isfinite(raw_variance);
+    // Clamp numerical noise on near-constant ranges.
+    const double variance = raw_variance < 0.0 ? 0.0 : raw_variance;
+    const double sd = std::sqrt(variance);
+    const double mean_err = RangeSumError(src, pos + i, window) / n;
+    const double var_err =
+        PrefixRangeErrorBound(src.PrefixSq(pos + i),
+                              src.PrefixSq(pos + i + window)) /
+            n +
+        (2.0 * std::abs(mean) + mean_err) * mean_err;
+    const double sd_err =
+        variance > var_err ? var_err / sd : std::sqrt(var_err);
+    const bool flat = sd < znorm_epsilon;
+    const double inv = flat ? 1.0 : 1.0 / sd;
+    out_mean[i] = mean;
+    out_mean_err[i] = mean_err;
+    out_inv[i] = inv;
+    // Relative error of `inv`, as an absolute error per unit of |z|.
+    out_inv_rel_err[i] = flat ? 0.0 : sd_err * inv;
+    fallback[i] =
+        !finite | (std::abs(sd - znorm_epsilon) <= sd_err) ? 1.0 : 0.0;
+  }
+}
+
+/// Stage (c): the z values of the windows' segments and their bounds, into
+/// row-major rows `z` / `err` (paa values per window). The last term of the
+/// bound covers the reference path's own rounding: it sums up to `window`
+/// z-space values per segment, each O(|z|). The row stores are strided, so
+/// the pointers are declared unaliased for the loop to vectorize.
+void ZValues(const Segments& seg, const SaxPaaGeometry& g, size_t count,
+             const SaxBlockScratch& block, double* __restrict z,
+             double* __restrict err) {
+  const double ref_err = (16.0 + static_cast<double>(g.window)) * kMachEps;
+  const double* mean = block.mean.data();
+  const double* mean_err = block.mean_err.data();
+  const double* inv = block.inv.data();
+  const double* inv_rel_err = block.inv_rel_err.data();
+  for (size_t j = 0; j < g.paa; ++j) {
+    const double* seg_mean = seg.mean + j * seg.stride;
+    const double* seg_err = seg.err + j * seg.stride;
+    for (size_t i = 0; i < count; ++i) {
+      const double zv = (seg_mean[i] - mean[i]) * inv[i];
+      z[i * g.paa + j] = zv;
+      err[i * g.paa + j] = (seg_err[i] + mean_err[i]) * inv[i] +
+                           std::abs(zv) * inv_rel_err[i] +
+                           ref_err * (1.0 + std::abs(zv));
+    }
+  }
+}
+
+/// Stages (a)-(c) for windows [pos, pos + count): their z rows into
+/// `z` / `err` and their stats guards into block.fallback. The only z-row
+/// code: Discretize's blocks, a SaxZPlane's rows and the online ring's one
+/// window all come from here, so they use the same arithmetic.
+template <typename Source>
+void ZRows(Source src, const SaxPaaGeometry& g, double znorm_epsilon,
+           size_t pos, size_t count, SaxBlockScratch& block, double* z,
+           double* err) {
+  const Segments seg = SegmentMeans(src, g, pos, count, block);
+  WindowStats(src, g.window, znorm_epsilon, pos, count, block.mean.data(),
+              block.mean_err.data(), block.inv.data(),
+              block.inv_rel_err.data(), block.fallback.data());
+  ZValues(seg, g, count, block, z, err);
+}
+
+/// Stage (d)'s two tests of value `z` (bound `err`) against one breakpoint,
+/// as doubles so that the loops summing them vectorize: whether `z` counts
+/// toward the letter index (it is not below the cut, as
+/// NormalAlphabet::IndexOf counts), and whether the cut lies within `err`
+/// of `z`. The reference path's value differs from z by at most err, so a
+/// value that close to a cut could land on the other side there.
+double NotBelow(double z, double cut) { return z < cut ? 0.0 : 1.0; }
+double CutWithin(double z, double err, double cut) {
+  return std::abs(z - cut) <= err ? 1.0 : 0.0;
+}
+
+/// Stage (d): for each of `values` z values, its letter index into
+/// block.code, the number of breakpoints within its bound into
+/// block.near_cut, and its letter into `letters`. Testing every cut decides
+/// as testing the two cuts next to the value does: the rounded distance to
+/// a cut only grows with the cut's distance. One pass per breakpoint, the
+/// first one initializing, keeps each loop vectorizable and a block of one
+/// window cheap.
+void Letters(const double* __restrict z, const double* __restrict err,
+             size_t values, const NormalAlphabet& alphabet,
+             SaxBlockScratch& block, char* __restrict letters) {
+  const std::vector<double>& cuts = alphabet.breakpoints();
+  double* code = block.code.data();
+  double* near_cut = block.near_cut.data();
+  for (size_t k = 0; k < values; ++k) {
+    code[k] = NotBelow(z[k], cuts[0]);
+    near_cut[k] = CutWithin(z[k], err[k], cuts[0]);
+  }
+  for (size_t b = 1; b < cuts.size(); ++b) {
+    const double cut = cuts[b];
+    for (size_t k = 0; k < values; ++k) {
+      code[k] += NotBelow(z[k], cut);
+      near_cut[k] += CutWithin(z[k], err[k], cut);
+    }
+  }
+  for (size_t k = 0; k < values; ++k) {
+    letters[k] = static_cast<char>('a' + static_cast<int>(code[k]));
+  }
+}
+
+/// Whether block window i's word is its stage (d) letters: neither its
+/// stats guard (`fallback`) nor a letter guard fired. Otherwise the word is
+/// the reference SaxWordForWindow over the window.
+bool LettersHold(size_t i, bool fallback, const SaxBlockScratch& block,
+                 size_t paa) {
+  const double* near_cut = block.near_cut.data() + i * paa;
+  bool fired = fallback;
+  for (size_t j = 0; j < paa; ++j) {
+    fired |= near_cut[j] != 0.0;
+  }
+  return !fired;
+}
+
+/// The records loop of the batch entry points over one block of `count`
+/// windows from `pos` whose stage (d) is done, with window i's stats guard
+/// in fallback[i]: only the words KeepWord keeps become a std::string in
+/// the records.
+template <typename Flag>
+void AppendBlockRecords(std::span<const double> series, size_t pos,
+                        size_t count, const Flag* fallback,
+                        const SaxBlockScratch& block, const SaxOptions& opts,
+                        NumerosityReduction numerosity,
+                        const NormalAlphabet& alphabet, SaxRecords& records) {
+  const size_t paa = opts.paa_size;
+  std::string reference;
+  for (size_t i = 0; i < count; ++i) {
+    std::string_view word(block.letters.data() + i * paa, paa);
+    if (!LettersHold(i, fallback[i] != 0, block, paa)) {
+      reference = SaxWordForWindow(WindowAt(series, pos + i, opts.window),
+                                   opts, alphabet);
+      word = reference;
+    }
+    if (KeepWord(records.words, word, numerosity, alphabet)) {
+      records.words.emplace_back(word);
+      records.offsets.push_back(pos + i);
+    }
+  }
+}
+
+SaxRecords ReserveRecords(size_t windows) {
   SaxRecords records;
   records.words.reserve(windows);
   records.offsets.reserve(windows);
-  std::string word(opts.paa_size, 'a');
-  for (size_t pos = 0; pos < windows; ++pos) {
-    word_at(pos, word);
-    if (KeepWord(records.words, word, numerosity, alphabet)) {
-      records.words.push_back(word);
-      records.offsets.push_back(pos);
-    }
-  }
   return records;
 }
 
@@ -304,17 +390,22 @@ StatusOr<SaxRecords> DiscretizeImpl(std::span<const double> series,
     return RollingStats(series);
   }();
   GVA_OBS_SPAN("sax.words");
-  const SpanSource src{series, &stats};
-  std::vector<double> z(opts.paa_size);
-  std::vector<double> err(opts.paa_size);
-  return CollectRecords(
-      NumSlidingWindows(series.size(), opts.window), opts, numerosity,
-      alphabet, [&](size_t pos, std::string& word) {
-        const bool row_ok = ZRowFromSource(src, geometry, opts.znorm_epsilon,
-                                           pos, z.data(), err.data());
-        SaxWord(row_ok, z.data(), err.data(), opts, alphabet,
-                [&] { return WindowAt(series, pos, opts.window); }, word);
-      });
+  const SpanSource src{series.data(), stats.prefix_data(),
+                       stats.prefix_sq_data()};
+  const size_t windows = NumSlidingWindows(series.size(), opts.window);
+  SaxBlockScratch block(geometry,
+                        std::min(windows, SaxBlockWindows(opts.paa_size)));
+  SaxRecords records = ReserveRecords(windows);
+  for (size_t pos = 0; pos < windows; pos += block.capacity) {
+    const size_t count = std::min(block.capacity, windows - pos);
+    ZRows(src, geometry, opts.znorm_epsilon, pos, count, block,
+          block.z.data(), block.z_err.data());
+    Letters(block.z.data(), block.z_err.data(), count * opts.paa_size,
+            alphabet, block, block.letters.data());
+    AppendBlockRecords(series, pos, count, block.fallback.data(), block, opts,
+                       numerosity, alphabet, records);
+  }
+  return records;
 }
 
 }  // namespace
@@ -339,6 +430,31 @@ SaxPaaGeometry::SaxPaaGeometry(const SaxOptions& opts)
   }
 }
 
+size_t SaxBlockWindows(size_t paa_size) {
+  constexpr size_t kBlockValues = 1024;
+  return std::max<size_t>(1, kBlockValues / paa_size);
+}
+
+SaxBlockScratch::SaxBlockScratch(const SaxPaaGeometry& geometry,
+                                 size_t windows)
+    : capacity(windows),
+      // A divisible block reads the segments at its windows' positions
+      // plus (paa - 1) steps; a fractional one keeps each window's own.
+      seg_mean(geometry.divisible
+                   ? windows + (geometry.paa - 1) * geometry.step
+                   : windows * geometry.paa),
+      seg_err(seg_mean.size()),
+      mean(windows),
+      mean_err(windows),
+      inv(windows),
+      inv_rel_err(windows),
+      fallback(windows),
+      z(windows * geometry.paa),
+      z_err(windows * geometry.paa),
+      code(windows * geometry.paa),
+      near_cut(windows * geometry.paa),
+      letters(windows * geometry.paa) {}
+
 OnlineSaxDiscretizer::OnlineSaxDiscretizer(const SaxOptions& opts)
     : opts_(opts),
       alphabet_(opts.alphabet_size),
@@ -347,17 +463,17 @@ OnlineSaxDiscretizer::OnlineSaxDiscretizer(const SaxOptions& opts)
       // them the guard bounds — proportional to one window of data, at an
       // amortized rebuild cost of 1/8 of a sample per push.
       rebase_period_(8 * opts.window),
+      next_rebase_(rebase_period_),
       ring_(opts.window, 0.0),
       psum_(opts.window + 1, 0.0),
       psumsq_(opts.window + 1, 0.0),
       scratch_(opts.window, 0.0),
-      zrow_(opts.paa_size, 0.0),
-      zerr_(opts.paa_size, 0.0) {}
+      block_(geometry_, 1) {}
 
 bool OnlineSaxDiscretizer::Push(double value, std::string& word, size_t* pos) {
   const size_t w = opts_.window;
   const size_t m = w + 1;
-  if (pushed_ >= w && pushed_ % rebase_period_ == 0) {
+  if (pushed_ == next_rebase_) {
     // Rebase: rebuild the retained prefix entries from the ring so prefix
     // magnitudes restart from zero. Which window values the fast path sees
     // changes only within the guard bounds, so emitted words — always
@@ -371,34 +487,42 @@ bool OnlineSaxDiscretizer::Push(double value, std::string& word, size_t* pos) {
       psum_[(i + 1) % m] = psum_[i % m] + v;
       psumsq_[(i + 1) % m] = psumsq_[i % m] + v * v;
     }
+    next_rebase_ += rebase_period_;
   }
-  const size_t t = pushed_;
-  ring_[t % w] = value;
-  psum_[(t + 1) % m] = psum_[t % m] + value;
-  psumsq_[(t + 1) % m] = psumsq_[t % m] + value * value;
+  // The slots advance by one and wrap, so a push makes no division.
+  ring_[sample_slot_] = value;
+  sample_slot_ = sample_slot_ + 1 == w ? 0 : sample_slot_ + 1;
+  const size_t next_prefix = prefix_slot_ + 1 == m ? 0 : prefix_slot_ + 1;
+  psum_[next_prefix] = psum_[prefix_slot_] + value;
+  psumsq_[next_prefix] = psumsq_[prefix_slot_] + value * value;
+  prefix_slot_ = next_prefix;
   ++pushed_;
   if (pushed_ < w) {
     return false;
   }
   const size_t at = pushed_ - w;
   *pos = at;
-  word.resize(opts_.paa_size);
+  // The block kernel on a block of one window over the rings. The window's
+  // first sample is the oldest in the ring, in the slot the next sample
+  // will take; P(at) sits one slot past P(pushed_).
   const RingSource src{ring_.data(), psum_.data(), psumsq_.data(), w, at,
-                       at % w, at % m};
-  const bool row_ok = ZRowFromSource(src, geometry_, opts_.znorm_epsilon, at,
-                                     zrow_.data(), zerr_.data());
+                       sample_slot_,
+                       prefix_slot_ + 1 == m ? 0 : prefix_slot_ + 1};
+  ZRows(src, geometry_, opts_.znorm_epsilon, at, 1, block_, block_.z.data(),
+        block_.z_err.data());
+  word.resize(opts_.paa_size);
+  Letters(block_.z.data(), block_.z_err.data(), opts_.paa_size, alphabet_,
+          block_, word.data());
+  if (LettersHold(0, block_.fallback[0] != 0.0, block_, opts_.paa_size)) {
+    return true;
+  }
   // The reference path reads the window materialized from the ring: the w
   // consecutive stream indices [at, at + w) occupy each ring slot once.
-  const auto window = [&] {
-    for (size_t i = 0; i < w; ++i) {
-      scratch_[i] = ring_[(at + i) % w];
-    }
-    return std::span<const double>(scratch_);
-  };
-  if (!SaxWord(row_ok, zrow_.data(), zerr_.data(), opts_, alphabet_, window,
-               word)) {
-    ++fallback_words_;
+  for (size_t i = 0; i < w; ++i) {
+    scratch_[i] = ring_[(at + i) % w];
   }
+  word = SaxWordForWindow(scratch_, opts_, alphabet_);
+  ++fallback_words_;
   return true;
 }
 
@@ -427,8 +551,10 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
   if (shared_stats == nullptr) {
     owned_stats.emplace(series);
   }
-  const SpanSource src{series,
-                       shared_stats != nullptr ? shared_stats : &*owned_stats};
+  const RollingStats& stats =
+      shared_stats != nullptr ? *shared_stats : *owned_stats;
+  const SpanSource src{series.data(), stats.prefix_data(),
+                       stats.prefix_sq_data()};
   const SaxPaaGeometry geometry(opts);
   SaxZPlane plane;
   plane.window = opts.window;
@@ -438,12 +564,17 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
   plane.z.resize(plane.positions * plane.paa_size);
   plane.z_err.resize(plane.positions * plane.paa_size);
   plane.fallback.assign(plane.positions, 0);
+  // Stages (a)-(c) of each chunk's blocks, straight into the plane.
   const auto rows = [&](size_t row_begin, size_t row_end, size_t /*chunk*/) {
-    for (size_t pos = row_begin; pos < row_end; ++pos) {
+    SaxBlockScratch block(geometry, std::min(row_end - row_begin,
+                                             SaxBlockWindows(opts.paa_size)));
+    for (size_t pos = row_begin; pos < row_end; pos += block.capacity) {
+      const size_t count = std::min(block.capacity, row_end - pos);
       const size_t at = pos * plane.paa_size;
-      if (!ZRowFromSource(src, geometry, opts.znorm_epsilon, pos,
-                          plane.z.data() + at, plane.z_err.data() + at)) {
-        plane.fallback[pos] = 1;
+      ZRows(src, geometry, opts.znorm_epsilon, pos, count, block,
+            plane.z.data() + at, plane.z_err.data() + at);
+      for (size_t i = 0; i < count; ++i) {
+        plane.fallback[pos + i] = block.fallback[i] != 0.0;
       }
     }
   };
@@ -474,14 +605,19 @@ StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
   }
   GVA_OBS_SPAN("sax.words");
   const NormalAlphabet alphabet(opts.alphabet_size);
-  return CollectRecords(
-      windows, opts, opts.numerosity, alphabet,
-      [&](size_t pos, std::string& word) {
-        const size_t at = pos * plane.paa_size;
-        SaxWord(plane.fallback[pos] == 0, plane.z.data() + at,
-                plane.z_err.data() + at, opts, alphabet,
-                [&] { return WindowAt(series, pos, opts.window); }, word);
-      });
+  SaxBlockScratch block(SaxPaaGeometry(opts),
+                        std::min(windows, SaxBlockWindows(opts.paa_size)));
+  SaxRecords records = ReserveRecords(windows);
+  // Stage (d) of each block, from the plane's rows.
+  for (size_t pos = 0; pos < windows; pos += block.capacity) {
+    const size_t count = std::min(block.capacity, windows - pos);
+    const size_t at = pos * opts.paa_size;
+    Letters(plane.z.data() + at, plane.z_err.data() + at,
+            count * opts.paa_size, alphabet, block, block.letters.data());
+    AppendBlockRecords(series, pos, count, plane.fallback.data() + pos, block,
+                       opts, opts.numerosity, alphabet, records);
+  }
+  return records;
 }
 
 }  // namespace gva

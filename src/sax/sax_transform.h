@@ -2,8 +2,10 @@
 #define GVA_SAX_SAX_TRANSFORM_H_
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sax/alphabet.h"
@@ -29,12 +31,54 @@ enum class NumerosityReduction {
   kMinDist,
 };
 
+/// Whether two SAX words have the same letters. Words are fixed-width
+/// letter codes, so they are compared 8 and then 4 bytes at a time with
+/// fixed-size loads, not through a memcmp call: most windows repeat the
+/// last kept word, so this comparison runs for nearly every window.
+inline bool SameLetters(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  const char* x = a.data();
+  const char* y = b.data();
+  size_t n = a.size();
+  for (; n >= 8; n -= 8, x += 8, y += 8) {
+    uint64_t u = 0;
+    uint64_t v = 0;
+    std::memcpy(&u, x, 8);
+    std::memcpy(&v, y, 8);
+    if (u != v) {
+      return false;
+    }
+  }
+  if (n >= 4) {
+    uint32_t u = 0;
+    uint32_t v = 0;
+    std::memcpy(&u, x, 4);
+    std::memcpy(&v, y, 4);
+    if (u != v) {
+      return false;
+    }
+    x += 4;
+    y += 4;
+    n -= 4;
+  }
+  for (; n > 0; --n, ++x, ++y) {
+    if (*x != *y) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// The numerosity-reduction decision (paper Section 3.2): whether `word`
 /// is kept after the words already kept in `kept` (only the last one is
 /// compared). Shared by the batch discretization loops and the streaming
 /// engine; inline because every window of every series goes through it.
+/// `word` is a view, so the batch loops compare a window's fixed-width
+/// letters in place and make a std::string only of the words they keep.
 inline bool KeepWord(const std::vector<std::string>& kept,
-                     const std::string& word, NumerosityReduction numerosity,
+                     std::string_view word, NumerosityReduction numerosity,
                      const NormalAlphabet& alphabet) {
   if (kept.empty()) {
     return true;
@@ -44,7 +88,7 @@ inline bool KeepWord(const std::vector<std::string>& kept,
     case NumerosityReduction::kNone:
       return true;
     case NumerosityReduction::kExact:
-      return word != prev;
+      return !SameLetters(word, prev);
     case NumerosityReduction::kMinDist:
       return !MinDistIsZero(word, prev, alphabet);
   }
@@ -92,20 +136,22 @@ std::string SaxWordForWindow(std::span<const double> window,
 /// `opts` (paper Sections 3.1-3.2). Fails when `opts` is invalid or the
 /// series is shorter than the window.
 ///
-/// Every entry point in this header computes a window's word through one
-/// word function. It computes each z-space PAA value algebraically from
-/// raw-value range sums — for segment mean s, window mean mu and stddev
-/// sigma the z-normalized PAA value is (s - mu) / sigma — instead of
-/// materializing the z-normalized window and averaging it the way the
-/// reference path (SaxWordForWindow) does. The two orderings agree only up
-/// to rounding noise, so every *decision* (flat-vs-normalized window,
-/// value-vs-breakpoint) is guarded by a conservative error bound; a window
-/// whose decision falls inside the bound, or whose mean or variance is not
-/// finite, is recomputed through the reference path. That keeps the output
-/// byte-identical to the reference for every input while the guard
-/// virtually never fires on finite real data (the bound is orders of
-/// magnitude below typical breakpoint clearances). After one O(n)
-/// prefix-sum build each word costs O(paa_size).
+/// Every entry point in this header computes its words through one block
+/// kernel, a block of consecutive windows at a time. It computes each
+/// z-space PAA value algebraically from raw-value range sums — for segment
+/// mean s, window mean mu and stddev sigma the z-normalized PAA value is
+/// (s - mu) / sigma — instead of materializing the z-normalized window and
+/// averaging it the way the reference path (SaxWordForWindow) does. The two
+/// orderings agree only up to rounding noise, so every *decision*
+/// (flat-vs-normalized window, value-vs-breakpoint) is guarded by a
+/// conservative error bound; a window whose decision falls inside the
+/// bound, or whose mean or variance is not finite, is recomputed through
+/// the reference path. That keeps the output byte-identical to the
+/// reference for every input while the guard virtually never fires on
+/// finite real data (the bound is orders of magnitude below typical
+/// breakpoint clearances). After one O(n) prefix-sum build each word costs
+/// O(paa_size), and when paa_size divides the window each PAA segment mean
+/// is computed once per series position, not once per window reading it.
 StatusOr<SaxRecords> Discretize(std::span<const double> series,
                                 const SaxOptions& opts);
 
@@ -119,8 +165,8 @@ StatusOr<SaxRecords> DiscretizeAllWindows(std::span<const double> series,
 /// with their conservative error bounds. Depends only on (window, paa_size,
 /// znorm_epsilon) — NOT on the alphabet — so one plane is reusable by every
 /// discretization that differs only in alphabet size (the ensemble engine's
-/// cache key). Rows whose stats guard fired carry no z values and are marked
-/// `fallback`; DiscretizeWithZPlane computes those windows through the
+/// cache key). Rows whose stats guard fired carry no valid z values and are
+/// marked `fallback`; DiscretizeWithZPlane computes those windows through the
 /// reference path, exactly as Discretize() itself does.
 struct SaxZPlane {
   size_t window = 0;
@@ -166,7 +212,13 @@ StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
                                           const SaxOptions& opts,
                                           const SaxZPlane& plane);
 
-/// Per-segment PAA geometry of the z-row kernel. Depends only on
+/// Windows per block of the block kernel for word length `paa_size`: a
+/// block holds about 1024 z values, so its scratch (about 48 KiB) stays
+/// in cache whatever the word length. Public so that tests can place
+/// series lengths and non-finite samples on block edges.
+size_t SaxBlockWindows(size_t paa_size);
+
+/// Per-segment PAA geometry of the block kernel. Depends only on
 /// (window, paa_size) and is precomputed once per discretization.
 struct SaxPaaGeometry {
   struct Segment {
@@ -185,13 +237,43 @@ struct SaxPaaGeometry {
   std::vector<Segment> segments;  // only for the non-divisible case
 };
 
+/// Structure-of-arrays scratch of the block kernel (sax_transform.cc) for
+/// up to `capacity` consecutive windows: each stage writes flat arrays of
+/// doubles (flags and counts included, so that compare-and-select loops
+/// vectorize) that the next stage reads in branch-free loops. Only the
+/// kernel reads its fields; a caller owns one and reuses it block after
+/// block.
+struct SaxBlockScratch {
+  SaxBlockScratch(const SaxPaaGeometry& geometry, size_t windows);
+
+  size_t capacity;
+  // Stage (a): PAA segment means and their error bounds.
+  std::vector<double> seg_mean;
+  std::vector<double> seg_err;
+  // Stage (b): per-window statistics; fallback is 1 where the stats guard
+  // fired.
+  std::vector<double> mean;
+  std::vector<double> mean_err;
+  std::vector<double> inv;
+  std::vector<double> inv_rel_err;
+  std::vector<double> fallback;
+  // Stage (c): z values and bounds, capacity x paa, row-major.
+  std::vector<double> z;
+  std::vector<double> z_err;
+  // Stage (d): letter indices, the number of breakpoints within each
+  // value's bound, and the letters.
+  std::vector<double> code;
+  std::vector<double> near_cut;
+  std::vector<char> letters;
+};
+
 /// Online (push-one-sample) discretizer: the entry point the streaming
 /// engine ingests through. Bounded O(window) memory — a ring of the last
 /// `window` raw samples plus a ring of running prefix sums — and
-/// O(paa_size) per completed window. Each word goes through Discretize's
-/// word function over the rings, so every emitted word is byte-identical
-/// to SaxWordForWindow over the same samples (the window is materialized
-/// from the ring only when a guard fires).
+/// O(paa_size) per completed window. Each word is Discretize's block
+/// kernel run on a block of one window over the rings, so every emitted
+/// word is byte-identical to SaxWordForWindow over the same samples (the
+/// window is materialized from the ring only when a guard fires).
 ///
 /// The prefix rings are rebased on a deterministic sample-count schedule so
 /// their magnitude — and with it the error bound — stays proportional to
@@ -221,12 +303,14 @@ class OnlineSaxDiscretizer {
   SaxPaaGeometry geometry_;
   size_t pushed_ = 0;
   size_t rebase_period_;
+  size_t next_rebase_;        // the pushed_ count of the next rebase
+  size_t sample_slot_ = 0;    // ring_ slot of the next sample: pushed_ % w
+  size_t prefix_slot_ = 0;    // psum_ slot of P(pushed_): pushed_ % (w + 1)
   std::vector<double> ring_;     // last `window` raw samples
   std::vector<double> psum_;     // prefix sums over the stream, ring of w+1
   std::vector<double> psumsq_;   // prefix sums of squares, ring of w+1
   std::vector<double> scratch_;  // contiguous window copy for fallbacks
-  std::vector<double> zrow_;
-  std::vector<double> zerr_;
+  SaxBlockScratch block_;        // the kernel's scratch for one window
   size_t fallback_words_ = 0;
 };
 

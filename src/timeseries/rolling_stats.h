@@ -23,6 +23,16 @@ namespace gva {
 inline constexpr double kRangeSumErrFactor =
     4096.0 * std::numeric_limits<double>::epsilon();
 
+/// The range-sum error bound from the magnitudes `lo` and `hi` of the two
+/// prefix values a range sum cancels: kRangeSumErrFactor *
+/// std::max({1.0, lo, hi}), spelled as the two selects std::max makes
+/// (a NaN magnitude is skipped) so that vectorized loops can evaluate it.
+inline double PrefixRangeErrorBound(double lo, double hi) {
+  double m = 1.0 < lo ? lo : 1.0;
+  m = m < hi ? hi : m;
+  return kRangeSumErrFactor * m;
+}
+
 /// Prefix-sum accelerator for per-window statistics over one series: after
 /// an O(n) build, the sum, sum of squares, mean, and (population) variance
 /// of any contiguous range cost O(1). This is the shared substrate of the
@@ -70,22 +80,23 @@ class RollingStats {
   /// Conservative bound on |Sum(pos, len) - naive left-to-right sum of the
   /// same range|: rounding noise proportional to the magnitude of the
   /// prefix values the difference cancels, with a generous factor for the
-  /// accumulation error both summations carry. Used by the SAX kernel to
-  /// decide when a prefix-derived value is too close to a discretization
-  /// breakpoint to trust. Inline, like Sum(): the SAX kernel evaluates it
-  /// once per window and once per PAA segment.
+  /// accumulation error both summations carry. The SAX kernel applies the
+  /// same bound (PrefixRangeErrorBound) to decide when a prefix-derived
+  /// value is too close to a discretization breakpoint to trust.
   double RangeSumErrorBound(size_t pos, size_t len) const {
-    const double lo = std::abs(prefix_[pos]);
-    const double hi = std::abs(prefix_[pos + len]);
-    return kRangeSumErrFactor * std::max({1.0, lo, hi});
+    return PrefixRangeErrorBound(std::abs(prefix_[pos]),
+                                 std::abs(prefix_[pos + len]));
   }
 
   /// Same bound for SumSq(pos, len).
   double RangeSumSqErrorBound(size_t pos, size_t len) const {
-    const double lo = prefix_sq_[pos];
-    const double hi = prefix_sq_[pos + len];
-    return kRangeSumErrFactor * std::max({1.0, lo, hi});
+    return PrefixRangeErrorBound(prefix_sq_[pos], prefix_sq_[pos + len]);
   }
+
+  /// The prefix arrays themselves, size() + 1 entries each (entry i sums
+  /// values [0, i)), for kernels that sweep many ranges in one loop.
+  const double* prefix_data() const { return prefix_.data(); }
+  const double* prefix_sq_data() const { return prefix_sq_.data(); }
 
  private:
   size_t n_;

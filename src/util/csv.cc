@@ -1,6 +1,5 @@
 #include "util/csv.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -15,10 +14,12 @@ StatusOr<double> ParseDouble(std::string_view field) {
     return Status::InvalidArgument("empty numeric field");
   }
   std::string buffer(stripped);
-  errno = 0;
   char* end = nullptr;
-  double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || errno == ERANGE) {
+  // strtod sets ERANGE on underflow too, so errno is not consulted: a
+  // finite result (zero or a subnormal on underflow) is a valid field, and
+  // overflow saturates to +-inf, which the finiteness check rejects.
+  const double value = std::strtod(buffer.c_str(), &end);
+  if (end != buffer.c_str() + buffer.size()) {
     return Status::InvalidArgument("malformed numeric field: '" + buffer +
                                    "'");
   }

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -138,14 +139,22 @@ class Parser {
         return Error("digits required in exponent");
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    // The token is validated above; from_chars converts it in place, with
+    // no copy and no locale. It reports underflow and overflow alike as
+    // out of range, and there strtod decides: underflow rounds to zero or
+    // a subnormal and is accepted, overflow saturates to +-inf and is not.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result parsed = std::from_chars(first, last, value);
+    if (parsed.ec == std::errc::result_out_of_range) {
+      const std::string token(first, last);
+      value = std::strtod(token.c_str(), nullptr);
+    } else if (parsed.ec != std::errc() || parsed.ptr != last) {
       return Error("malformed number");
     }
     if (!std::isfinite(value)) {
-      return Error("number out of range");  // strtod saturated to +-inf
+      return Error("number out of range");
     }
     *out = JsonValue::Number(value);
     return Status::Ok();

@@ -65,6 +65,17 @@ TEST(StreamingTest, CreateValidatesDensityOptions) {
   EXPECT_TRUE(StreamingAnomalyMonitor::Create(o).ok());
 }
 
+TEST(StreamingTest, CreateRejectsNonFiniteEpsilon) {
+  for (const double eps : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    StreamingOptions o = Opts(100);
+    o.sax.znorm_epsilon = eps;
+    EXPECT_EQ(StreamingAnomalyMonitor::Create(o).status().code(),
+              StatusCode::kInvalidArgument)
+        << eps;
+  }
+}
+
 TEST(StreamingTest, CreateValidatesHorizon) {
   StreamingOptions o = Opts(100);
   o.horizon = 99;  // below the window: no report could ever cover a window

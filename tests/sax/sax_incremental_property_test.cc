@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +135,58 @@ std::vector<NamedSeries> TestSeries() {
   return all;
 }
 
+/// Every entry point on `series` under `opts` — Discretize,
+/// DiscretizeAllWindows, serial and pooled z-planes, online — against the
+/// per-window reference. The pooled plane's valid rows must also equal the
+/// serial plane's bit for bit.
+void ExpectEveryPathMatchesReference(std::span<const double> series,
+                                     const SaxOptions& opts, ThreadPool* pool,
+                                     const std::string& label) {
+  const SaxRecords ref = ReferenceDiscretize(series, opts, opts.numerosity);
+  const auto expect_reference = [&](const SaxRecords& got, const char* path) {
+    EXPECT_EQ(got.words, ref.words) << path << " " << label;
+    EXPECT_EQ(got.offsets, ref.offsets) << path << " " << label;
+  };
+  auto fast = Discretize(series, opts);
+  ASSERT_TRUE(fast.ok()) << label;
+  expect_reference(*fast, "Discretize");
+  auto all = DiscretizeAllWindows(series, opts);
+  ASSERT_TRUE(all.ok()) << label;
+  const SaxRecords all_ref =
+      ReferenceDiscretize(series, opts, NumerosityReduction::kNone);
+  EXPECT_EQ(all->words, all_ref.words) << "DiscretizeAllWindows " << label;
+  auto serial_plane = ComputeSaxZPlane(series, opts);
+  auto pooled_plane = ComputeSaxZPlane(series, opts, nullptr, pool);
+  ASSERT_TRUE(serial_plane.ok()) << label;
+  ASSERT_TRUE(pooled_plane.ok()) << label;
+  auto serial = DiscretizeWithZPlane(series, opts, *serial_plane);
+  ASSERT_TRUE(serial.ok()) << label;
+  expect_reference(*serial, "z-plane");
+  auto pooled = DiscretizeWithZPlane(series, opts, *pooled_plane);
+  ASSERT_TRUE(pooled.ok()) << label;
+  expect_reference(*pooled, "pooled z-plane");
+  ASSERT_EQ(serial_plane->fallback, pooled_plane->fallback) << label;
+  for (size_t row = 0; row < serial_plane->positions; ++row) {
+    if (serial_plane->fallback[row] != 0) {
+      continue;
+    }
+    for (size_t j = 0; j < opts.paa_size; ++j) {
+      const size_t at = row * opts.paa_size + j;
+      EXPECT_EQ(serial_plane->z[at], pooled_plane->z[at]) << label;
+      EXPECT_EQ(serial_plane->z_err[at], pooled_plane->z_err[at]) << label;
+    }
+  }
+  expect_reference(OnlineDiscretize(series, opts), "online");
+}
+
+SaxOptions Geometry(size_t window, size_t paa, size_t alphabet = 4) {
+  SaxOptions opts;
+  opts.window = window;
+  opts.paa_size = paa;
+  opts.alphabet_size = alphabet;
+  return opts;
+}
+
 TEST(IncrementalSaxPropertyTest, ByteIdenticalToReferenceAcrossGrid) {
   const std::vector<NamedSeries> series_set = TestSeries();
   // (window, paa) pairs cover divisible, non-divisible, step == 1, and
@@ -226,6 +280,124 @@ TEST(IncrementalSaxPropertyTest, CustomEpsilonStillByteIdentical) {
     SaxRecords ref = ReferenceDiscretize(v, opts, opts.numerosity);
     EXPECT_EQ(fast->words, ref.words) << "eps=" << eps;
     EXPECT_EQ(fast->offsets, ref.offsets) << "eps=" << eps;
+  }
+}
+
+// The block kernel computes a block of SaxBlockWindows(paa) windows at a
+// time, so the cases below put series lengths, geometries and non-finite
+// samples on block edges.
+
+TEST(IncrementalSaxPropertyTest, SeriesLengthsAroundABlockEdge) {
+  ThreadPool pool(3);
+  // (window, paa) cover divisible, non-divisible and step == 1 geometry.
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {30, 5}, {30, 4}, {8, 8}, {41, 6}};
+  for (const auto& [window, paa] : shapes) {
+    const size_t block = SaxBlockWindows(paa);
+    // One full block of windows, one short of it, one past it, and two.
+    for (const size_t windows :
+         {block - 1, block, block + 1, 2 * block, 2 * block + 1}) {
+      const std::vector<double> series =
+          MakeSine(windows + window - 1, 37.0, 0.1, 7 + windows);
+      for (const NumerosityReduction mode :
+           {NumerosityReduction::kExact, NumerosityReduction::kMinDist}) {
+        SaxOptions opts = Geometry(window, paa);
+        opts.numerosity = mode;
+        ExpectEveryPathMatchesReference(
+            series, opts, &pool,
+            "w=" + std::to_string(window) + " paa=" + std::to_string(paa) +
+                " windows=" + std::to_string(windows) +
+                " mode=" + std::to_string(static_cast<int>(mode)));
+      }
+    }
+  }
+}
+
+TEST(IncrementalSaxPropertyTest, SeriesOfExactlyOneWindow) {
+  ThreadPool pool(2);
+  for (const auto& [window, paa] : std::vector<std::pair<size_t, size_t>>{
+           {30, 5}, {30, 4}, {16, 16}, {25, 1}}) {
+    const std::vector<double> series = MakeSine(window, 11.0, 0.2, 5);
+    ExpectEveryPathMatchesReference(series, Geometry(window, paa), &pool,
+                                    "one window w=" + std::to_string(window) +
+                                        " paa=" + std::to_string(paa));
+  }
+}
+
+TEST(IncrementalSaxPropertyTest, PaaEqualToWindowUsesExactSamples) {
+  // step == 1: each segment is one sample, read exactly, with no error.
+  ThreadPool pool(3);
+  for (const size_t window : {2u, 5u, 12u}) {
+    const size_t block = SaxBlockWindows(window);
+    for (const size_t alphabet : {2u, 7u, 26u}) {
+      const std::vector<double> series =
+          MakeRandomWalk(2 * block + window + 3, 1.0, 9 + window);
+      ExpectEveryPathMatchesReference(
+          series, Geometry(window, window, alphabet), &pool,
+          "paa == window " + std::to_string(window) + " a=" +
+              std::to_string(alphabet));
+    }
+  }
+}
+
+TEST(IncrementalSaxPropertyTest, NonFiniteSamplesAtBlockEdges) {
+  ThreadPool pool(3);
+  const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const auto& [window, paa] :
+       std::vector<std::pair<size_t, size_t>>{{30, 5}, {30, 4}}) {
+    const size_t block = SaxBlockWindows(paa);
+    const size_t windows = 3 * block;
+    // Samples only the first or the last window of a block reads.
+    const size_t positions[] = {0,
+                                block - 1 + window - 1,
+                                block,
+                                2 * block - 1 + window - 1,
+                                windows + window - 2};
+    for (const double bad : kNonFinite) {
+      for (const size_t at : positions) {
+        std::vector<double> series =
+            MakeSine(windows + window - 1, 29.0, 0.05, 13);
+        series[at] = bad;
+        ExpectEveryPathMatchesReference(
+            series, Geometry(window, paa), &pool,
+            "w=" + std::to_string(window) + " paa=" + std::to_string(paa) +
+                " sample " + std::to_string(at) + " = " +
+                std::to_string(bad));
+      }
+    }
+  }
+}
+
+TEST(IncrementalSaxPropertyTest, PooledPlaneChunksSplitBlocks) {
+  // ParallelFor cuts [0, positions) into one chunk per lane; with these
+  // lane counts the cuts fall inside blocks, not on their edges.
+  const SaxOptions opts = Geometry(30, 5);
+  const size_t block = SaxBlockWindows(opts.paa_size);
+  const std::vector<double> series =
+      MakeSine(3 * block + 7 + opts.window - 1, 31.0, 0.2, 21);
+  for (const size_t lanes : {2u, 3u, 4u, 7u}) {
+    ThreadPool pool(lanes);
+    ExpectEveryPathMatchesReference(series, opts, &pool,
+                                    "lanes=" + std::to_string(lanes));
+  }
+}
+
+TEST(IncrementalSaxPropertyTest, OnlineWordsHoldAcrossRebases) {
+  // The online rings rebase every 8 windows of samples; a large offset
+  // makes the prefix magnitudes, and so the guard bounds, differ before
+  // and after each rebase.
+  ThreadPool pool(2);
+  for (const auto& [window, paa] : std::vector<std::pair<size_t, size_t>>{
+           {10, 5}, {12, 5}, {9, 9}}) {
+    std::vector<double> series = MakeSine(30 * window + 5, 17.0, 0.3, 3);
+    for (double& v : series) {
+      v += 2e5;
+    }
+    ExpectEveryPathMatchesReference(series, Geometry(window, paa), &pool,
+                                    "rebases w=" + std::to_string(window) +
+                                        " paa=" + std::to_string(paa));
   }
 }
 

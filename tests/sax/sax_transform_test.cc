@@ -1,6 +1,8 @@
 #include "sax/sax_transform.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +33,34 @@ TEST(SaxOptionsTest, ValidationCatchesBadParameters) {
   SaxOptions bad = Opts(16, 4, 4);
   bad.znorm_epsilon = -1.0;
   EXPECT_FALSE(bad.Validate().ok());
+}
+
+TEST(SaxOptionsTest, NonFiniteEpsilonIsRejected) {
+  const std::vector<double> series = MakeSine(200, 25.0, 0.0, 3);
+  for (const double eps : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SaxOptions opts = Opts(16, 4, 4);
+    opts.znorm_epsilon = eps;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << eps;
+    EXPECT_EQ(Discretize(series, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << eps;
+  }
+}
+
+TEST(SaxWordTest, SameLettersAgreesWithStringEquality) {
+  // Every length through the 8- and 4-byte steps and the byte tail, with
+  // the difference at every position.
+  for (size_t n = 0; n <= 20; ++n) {
+    const std::string word(n, 'c');
+    EXPECT_TRUE(SameLetters(word, word)) << n;
+    EXPECT_FALSE(SameLetters(word, word + "c")) << n;
+    for (size_t at = 0; at < n; ++at) {
+      std::string other = word;
+      other[at] = 'd';
+      EXPECT_FALSE(SameLetters(word, other)) << n << " at " << at;
+    }
+  }
 }
 
 TEST(SaxWordTest, RampMapsToAscendingLetters) {

@@ -1,7 +1,9 @@
 #include "util/csv.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -33,6 +35,25 @@ TEST_F(CsvTest, ParseDoubleAcceptsCommonForms) {
   EXPECT_DOUBLE_EQ(*ParseDouble("3.5"), 3.5);
   EXPECT_DOUBLE_EQ(*ParseDouble(" -2 "), -2.0);
   EXPECT_DOUBLE_EQ(*ParseDouble("1e-3"), 0.001);
+}
+
+TEST_F(CsvTest, ParseDoubleAcceptsFiniteUnderflow) {
+  // strtod flags underflow with ERANGE; the values are still finite.
+  auto small = ParseDouble("1e-310");
+  ASSERT_TRUE(small.ok()) << small.status();
+  EXPECT_EQ(*small, std::strtod("1e-310", nullptr));
+  EXPECT_GT(*small, 0.0);
+  auto subnormal = ParseDouble("4.9e-324");
+  ASSERT_TRUE(subnormal.ok()) << subnormal.status();
+  EXPECT_EQ(*subnormal, std::numeric_limits<double>::denorm_min());
+  auto zero = ParseDouble("1e-400");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(*zero, 0.0);
+  // Overflow saturates to infinity and stays rejected.
+  EXPECT_EQ(ParseDouble("1e309").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseDouble("-1e309").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(CsvTest, ParseDoubleRejectsGarbage) {

@@ -1,11 +1,16 @@
 #include "util/json.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace gva {
@@ -86,6 +91,46 @@ TEST(ParseJsonTest, ReportsByteOffsetInErrors) {
   ASSERT_FALSE(doc.ok());
   EXPECT_NE(doc.status().ToString().find("7"), std::string::npos)
       << doc.status().ToString();
+}
+
+TEST(ParseJsonTest, NumbersKeepStrtodRangeRules) {
+  // Underflow is accepted: to zero past the subnormals, exactly within them.
+  auto tiny = ParseJson("1e-400");
+  ASSERT_TRUE(tiny.ok()) << tiny.status();
+  EXPECT_EQ(tiny->as_number(), 0.0);
+  auto subnormal = ParseJson("4.9e-324");
+  ASSERT_TRUE(subnormal.ok()) << subnormal.status();
+  EXPECT_EQ(subnormal->as_number(), std::numeric_limits<double>::denorm_min());
+  // Overflow is not.
+  EXPECT_FALSE(ParseJson("1e309").ok());
+  EXPECT_FALSE(ParseJson("-1e309").ok());
+  EXPECT_FALSE(ParseJson("[1, 1e309]").ok());
+  auto negative_zero = ParseJson("-0");
+  ASSERT_TRUE(negative_zero.ok());
+  EXPECT_EQ(negative_zero->as_number(), 0.0);
+  EXPECT_TRUE(std::signbit(negative_zero->as_number()));
+}
+
+TEST(ParseJsonTest, NumbersParseToTheBitsStrtodGives) {
+  // 17 significant digits, as serverd bodies carry them, over magnitudes
+  // from subnormal to near the top of the range.
+  Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) {
+    const double mantissa = rng.UniformDouble() * 2.0 - 1.0;
+    const int exponent = static_cast<int>(rng.UniformInRange(-320, 305));
+    const double x = mantissa * std::pow(10.0, exponent);
+    char text[40];
+    std::snprintf(text, sizeof(text), "%.17g", x);
+    const double expected = std::strtod(text, nullptr);
+    auto parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status();
+    uint64_t got_bits = 0;
+    uint64_t expected_bits = 0;
+    const double got = parsed->as_number();
+    std::memcpy(&got_bits, &got, sizeof(got));
+    std::memcpy(&expected_bits, &expected, sizeof(expected));
+    EXPECT_EQ(got_bits, expected_bits) << text;
+  }
 }
 
 TEST(JsonDumpTest, RoundTripIsBitExactForDoubles) {

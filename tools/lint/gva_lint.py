@@ -61,6 +61,18 @@ simd-intrinsics      vector-intrinsic headers (immintrin.h, arm_neon.h, ...)
                      capability gate (SIGILL on older hardware), dodges the
                      per-file -mavx2 isolation, and is invisible to the
                      backend differential suite.
+fp-value-flags       floating-point options that can change a computed
+                     value (-ffast-math, -Ofast, -ffinite-math-only,
+                     -funsafe-math-optimizations, -fassociative-math,
+                     -freciprocal-math, -fno-signed-zeros,
+                     -ffp-contract=fast) in the root CMakeLists.txt, in the
+                     CMake files under src/, bench/, tests/ and tools/
+                     (always scanned, whatever paths are given), and in
+                     `#pragma GCC optimize` / `optimize(...)` attributes in
+                     sources. The SAX kernel's bit-identity with its
+                     reference path, and the flags its file does take
+                     (-fno-math-errno, -fno-trapping-math, which change no
+                     value), rest on none of these reaching a TU.
 signal-safety        allocation (malloc/new/std::string/containers), stdio
                      (printf/fopen/iostream), or locks (std::mutex,
                      lock_guard, condition_variable) inside a function whose
@@ -503,6 +515,94 @@ def check_signal_safety(path: str, rel: str,
     return findings
 
 
+# --- rule: fp-value-flags -----------------------------------------------------
+
+# Options that let the compiler change a floating-point value: reassociate,
+# use reciprocals, assume finite operands or ignore the sign of zero, or
+# fuse a multiply and an add into one rounding.
+FP_VALUE_FLAG_NAMES = (r"fast-math|finite-math-only|unsafe-math-optimizations|"
+                       r"associative-math|reciprocal-math|no-signed-zeros|"
+                       r"fp-contract=fast")
+# In CMake the options are spelled in full.
+FP_VALUE_FLAG_CMAKE_RE = re.compile(
+    r"(?<![\w-])(?:-f(?:" + FP_VALUE_FLAG_NAMES + r")|-Ofast)(?![\w-])")
+# In a pragma or an optimize attribute the leading "-f" is optional.
+FP_VALUE_FLAG_OPTION_RE = re.compile(
+    r"(?<![\w-])(?:(?:-f)?(?:" + FP_VALUE_FLAG_NAMES + r")|-?Ofast)(?![\w-])")
+OPTIMIZE_DIRECTIVE_RE = re.compile(
+    r"#\s*pragma\s+GCC\s+optimize\b|\boptimize\s*\(")
+CMAKE_ALLOW_RE = re.compile(r"#\s*gva-lint:\s*allow\(fp-value-flags\)")
+# The CMake files the rule always scans, relative to the repo root.
+CMAKE_SCAN_ROOTS = ("CMakeLists.txt", "src", "bench", "tests", "tools")
+
+
+def is_cmake_file(rel: str) -> bool:
+    name = os.path.basename(rel)
+    return name == "CMakeLists.txt" or name.endswith(".cmake")
+
+
+def strip_cmake_comment(line: str) -> str:
+    """Drops a # comment, keeping any # inside a quoted argument."""
+    in_str = False
+    for i, c in enumerate(line):
+        if c == "\"":
+            in_str = not in_str
+        elif c == "#" and not in_str:
+            return line[:i]
+    return line
+
+
+def fp_value_flag_finding(rel: str, line: int, flag: str) -> Finding:
+    return Finding(
+        rel, line, "fp-value-flags",
+        f"{flag} can change floating-point results: the SAX kernel's words "
+        "must stay bit-identical to its reference path, and only "
+        "value-preserving options (-fno-math-errno, -fno-trapping-math) may "
+        "be set")
+
+
+def check_fp_value_flags(path: str, rel: str,
+                         lines: list[str]) -> list[Finding]:
+    findings = []
+    if is_cmake_file(rel):
+        for i, raw in enumerate(lines, 1):
+            if CMAKE_ALLOW_RE.search(raw):
+                continue
+            m = FP_VALUE_FLAG_CMAKE_RE.search(strip_cmake_comment(raw))
+            if m:
+                findings.append(fp_value_flag_finding(rel, i, m.group(0)))
+        return findings
+    for i, raw in enumerate(lines, 1):
+        if "fp-value-flags" in allowed_rules(raw):
+            continue
+        if not OPTIMIZE_DIRECTIVE_RE.search(strip_strings_and_comments(raw)):
+            continue
+        # The options are string arguments: search the line minus comments.
+        m = FP_VALUE_FLAG_OPTION_RE.search(raw.split("//")[0])
+        if m:
+            findings.append(fp_value_flag_finding(rel, i, m.group(0)))
+    return findings
+
+
+def cmake_files(root: str) -> list[tuple[str, str]]:
+    """The CMake files under CMAKE_SCAN_ROOTS, lint fixtures excluded."""
+    out = []
+    for entry in CMAKE_SCAN_ROOTS:
+        absolute = os.path.join(root, entry)
+        if os.path.isfile(absolute):
+            out.append((absolute, entry))
+            continue
+        for dirpath, dirnames, filenames in os.walk(absolute):
+            dirnames[:] = sorted(d for d in dirnames
+                                 if not d.startswith(".") and d != "testdata")
+            for name in sorted(filenames):
+                full = os.path.join(dirpath, name)
+                rel = os.path.relpath(full, root).replace(os.sep, "/")
+                if is_cmake_file(rel):
+                    out.append((full, rel))
+    return out
+
+
 # --- driver -------------------------------------------------------------------
 
 ALL_RULES = {
@@ -515,6 +615,7 @@ ALL_RULES = {
     "include-bits": check_include_bits,
     "simd-intrinsics": check_simd_intrinsics,
     "signal-safety": check_signal_safety,
+    "fp-value-flags": check_fp_value_flags,
 }
 
 SOURCE_EXTENSIONS = (".cc", ".cpp", ".h", ".hpp")
@@ -527,6 +628,8 @@ def lint_file(path: str, rel: str) -> list[Finding]:
     except (OSError, UnicodeDecodeError) as e:
         return [Finding(rel, 0, "io", f"unreadable: {e}")]
     rel = rel.replace(os.sep, "/")
+    if is_cmake_file(rel):
+        return check_fp_value_flags(path, rel, lines)
     findings = []
     for checker in ALL_RULES.values():
         findings.extend(checker(path, rel, lines))
@@ -564,7 +667,7 @@ def main(argv: list[str]) -> int:
     paths = args.paths or ["src", "examples"]
 
     findings: list[Finding] = []
-    files = collect_files(root, paths)
+    files = collect_files(root, paths) + cmake_files(root)
     for full, rel in files:
         findings.extend(lint_file(full, rel))
 

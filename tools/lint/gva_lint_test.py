@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -284,6 +285,70 @@ class SignalSafetyRule(unittest.TestCase):
             ["signal-safety"])
 
 
+class FpValueFlagsRule(unittest.TestCase):
+    """Value-changing floating-point options: the SAX kernel's per-file
+    flags are value-preserving, and its words bit-identical to the
+    reference path, only while none of these reaches a translation unit."""
+
+    FLAGS = ("-ffast-math", "-Ofast", "-ffinite-math-only",
+             "-funsafe-math-optimizations", "-fassociative-math",
+             "-freciprocal-math", "-fno-signed-zeros", "-ffp-contract=fast")
+
+    def test_every_cmake_option_fires_once(self) -> None:
+        findings = findings_for("cmake/CMakeLists.txt")
+        self.assertEqual(rules_of(findings), ["fp-value-flags"] * 8)
+        messages = [f.message for f in findings]
+        for flag in self.FLAGS:
+            self.assertEqual(
+                sum(m.startswith(flag + " ") for m in messages), 1, flag)
+
+    def test_cmake_comments_safe_options_and_waiver_do_not_fire(self) -> None:
+        findings = findings_for("cmake/CMakeLists.txt")
+        flagged_lines = {f.line for f in findings}
+        lines = open(os.path.join(TESTDATA, "cmake/CMakeLists.txt"),
+                     encoding="utf-8").read().splitlines()
+        for i, line in enumerate(lines, 1):
+            if (line.lstrip().startswith("#") or "allow(fp-value-flags)" in line
+                    or "-fno-math-errno" in line or "=off" in line):
+                self.assertNotIn(i, flagged_lines)
+
+    def test_pragmas_and_attributes_fire(self) -> None:
+        findings = findings_for("src/sax/bad_fp_flags.cc")
+        self.assertEqual(rules_of(findings), ["fp-value-flags"] * 3)
+        lines = open(os.path.join(TESTDATA, "src/sax/bad_fp_flags.cc"),
+                     encoding="utf-8").read().splitlines()
+        flagged_lines = {f.line for f in findings}
+        for i, line in enumerate(lines, 1):
+            self.assertEqual(i in flagged_lines, "// finding" in line, line)
+
+    def test_driver_always_scans_the_cmake_files(self) -> None:
+        # Whatever source paths are given, a value-changing option in a
+        # CMake file under src/ fails the run.
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "src"))
+            with open(os.path.join(root, "src", "ok.cc"), "w",
+                      encoding="utf-8") as f:
+                f.write("int x = 0;\n")
+            self.assertEqual(gva_lint.main(["--root", root, "src"]), 0)
+            with open(os.path.join(root, "src", "CMakeLists.txt"), "w",
+                      encoding="utf-8") as f:
+                f.write("add_compile_options(-ffast-math)\n")
+            self.assertEqual(gva_lint.main(["--root", root, "src"]), 1)
+
+    def test_real_cmake_files_are_clean(self) -> None:
+        root = os.path.normpath(os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..", ".."))
+        scanned = gva_lint.cmake_files(root)
+        rels = {rel for _, rel in scanned}
+        for rel in ("CMakeLists.txt", "src/CMakeLists.txt",
+                    "bench/pipeline_bench/CMakeLists.txt",
+                    "tests/CMakeLists.txt", "tools/lint/CMakeLists.txt"):
+            self.assertIn(rel, rels)
+        self.assertFalse(any("testdata" in rel for rel in rels))
+        for full, rel in scanned:
+            self.assertEqual(gva_lint.lint_file(full, rel), [], rel)
+
+
 class CleanFixture(unittest.TestCase):
     def test_clean_pair_has_no_findings(self) -> None:
         self.assertEqual(findings_for("src/ensemble/clean.cc"), [])
@@ -320,6 +385,7 @@ class DriverBehaviour(unittest.TestCase):
             "include-bits": 1,
             "simd-intrinsics": 6,
             "signal-safety": 4,
+            "fp-value-flags": 3,
         })
 
 
