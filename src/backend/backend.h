@@ -41,20 +41,23 @@ struct KernelBackend {
   /// tolerance-tested against scalar.
   bool bit_exact_distance;
 
-  /// Fused z-normalized squared-Euclidean pass over a[0..length) and
-  /// b[0..length): accumulates ((a[i]-mean_a)*inv_a - (b[i]-mean_b)*inv_b)^2
-  /// with an abandon check against `limit_sq` once per kDistanceBlock
-  /// elements plus once after the tail. Passing limit_sq == +infinity
-  /// disables the checks (full-length path). Returns true when the scan
-  /// completed — *sum_sq then holds the squared distance — and false when
-  /// the running sum reached limit_sq (early abandon; *sum_sq untouched).
-  /// Within one backend the full-length and abandoning paths use the same
+  /// Fused squared-Euclidean pass between a query that is already
+  /// z-normalized, za[0..length), and a window b[0..length) normalized on
+  /// the fly: accumulates (za[i] - (b[i]-mean_b)*inv_b)^2 with an abandon
+  /// check against `limit_sq` once per kDistanceBlock elements plus once
+  /// after the tail. The caller computes za[i] = (a[i]-mean_a)*inv_a once
+  /// per scan, the same expression the kernel applies to b, so a query
+  /// normalized ahead of time contributes the same bits as one normalized
+  /// here would. Passing limit_sq == +infinity disables the checks
+  /// (full-length path). Returns true when the scan completed — *sum_sq
+  /// then holds the squared distance — and false when the running sum
+  /// reached limit_sq (early abandon; *sum_sq untouched). Within one
+  /// backend the full-length and abandoning paths use the same
   /// accumulation structure, so a non-abandoned limited call returns the
   /// same bits as the unlimited call.
-  bool (*znorm_distance_block)(const double* a, const double* b,
-                               size_t length, double mean_a, double inv_a,
-                               double mean_b, double inv_b, double limit_sq,
-                               double* sum_sq);
+  bool (*znorm_distance_block)(const double* za, const double* b,
+                               size_t length, double mean_b, double inv_b,
+                               double limit_sq, double* sum_sq);
 };
 
 /// The portable reference backend. Always available; its summation order is

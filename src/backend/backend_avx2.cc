@@ -51,20 +51,17 @@ inline double FoldSum(__m256d acc0, __m256d acc1, __m256d acc2,
   return _mm_cvtsd_f64(_mm_add_sd(pair, swap));
 }
 
-/// One 4-lane quarter of a block: acc += ((a-ma)*ia - (b-mb)*ib)^2.
-inline __m256d Quarter(const double* a, const double* b, __m256d ma,
-                       __m256d ia, __m256d mb, __m256d ib, __m256d acc) {
-  const __m256d va = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(a), ma), ia);
+/// One 4-lane quarter of a block: acc += (za - (b-mb)*ib)^2.
+inline __m256d Quarter(const double* za, const double* b, __m256d mb,
+                       __m256d ib, __m256d acc) {
   const __m256d vb = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(b), mb), ib);
-  const __m256d d = _mm256_sub_pd(va, vb);
+  const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(za), vb);
   return _mm256_fmadd_pd(d, d, acc);
 }
 
-bool Avx2ZNormDistanceBlock(const double* a, const double* b, size_t length,
-                            double mean_a, double inv_a, double mean_b,
-                            double inv_b, double limit_sq, double* sum_sq) {
-  const __m256d ma = _mm256_set1_pd(mean_a);
-  const __m256d ia = _mm256_set1_pd(inv_a);
+bool Avx2ZNormDistanceBlock(const double* za, const double* b,
+                            size_t length, double mean_b, double inv_b,
+                            double limit_sq, double* sum_sq) {
   const __m256d mb = _mm256_set1_pd(mean_b);
   const __m256d ib = _mm256_set1_pd(inv_b);
   __m256d acc0 = _mm256_setzero_pd();
@@ -75,17 +72,17 @@ bool Avx2ZNormDistanceBlock(const double* a, const double* b, size_t length,
 
   if (limit_sq == kInf) {
     for (; i + kDistanceBlock <= length; i += kDistanceBlock) {
-      acc0 = Quarter(a + i, b + i, ma, ia, mb, ib, acc0);
-      acc1 = Quarter(a + i + 4, b + i + 4, ma, ia, mb, ib, acc1);
-      acc2 = Quarter(a + i + 8, b + i + 8, ma, ia, mb, ib, acc2);
-      acc3 = Quarter(a + i + 12, b + i + 12, ma, ia, mb, ib, acc3);
+      acc0 = Quarter(za + i, b + i, mb, ib, acc0);
+      acc1 = Quarter(za + i + 4, b + i + 4, mb, ib, acc1);
+      acc2 = Quarter(za + i + 8, b + i + 8, mb, ib, acc2);
+      acc3 = Quarter(za + i + 12, b + i + 12, mb, ib, acc3);
     }
   } else {
     for (; i + kDistanceBlock <= length; i += kDistanceBlock) {
-      acc0 = Quarter(a + i, b + i, ma, ia, mb, ib, acc0);
-      acc1 = Quarter(a + i + 4, b + i + 4, ma, ia, mb, ib, acc1);
-      acc2 = Quarter(a + i + 8, b + i + 8, ma, ia, mb, ib, acc2);
-      acc3 = Quarter(a + i + 12, b + i + 12, ma, ia, mb, ib, acc3);
+      acc0 = Quarter(za + i, b + i, mb, ib, acc0);
+      acc1 = Quarter(za + i + 4, b + i + 4, mb, ib, acc1);
+      acc2 = Quarter(za + i + 8, b + i + 8, mb, ib, acc2);
+      acc3 = Quarter(za + i + 12, b + i + 12, mb, ib, acc3);
       if (FoldSum(acc0, acc1, acc2, acc3) >= limit_sq) {
         return false;
       }
@@ -98,9 +95,8 @@ bool Avx2ZNormDistanceBlock(const double* a, const double* b, size_t length,
   // contributions in the same left-to-right order as scalar.
   double sum = FoldSum(acc0, acc1, acc2, acc3);
   for (; i < length; ++i) {
-    const double va = (a[i] - mean_a) * inv_a;
     const double vb = (b[i] - mean_b) * inv_b;
-    const double d = va - vb;
+    const double d = za[i] - vb;
     sum += d * d;
   }
   if (limit_sq != kInf && sum >= limit_sq) {

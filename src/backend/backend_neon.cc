@@ -36,25 +36,20 @@ inline double FoldSum(float64x2_t acc0, float64x2_t acc1, float64x2_t acc2,
 }
 
 /// One 4-element quarter of a block as two 2-lane fused multiply-adds:
-/// acc += ((a-ma)*ia - (b-mb)*ib)^2.
-inline float64x2_t Quarter(const double* a, const double* b, float64x2_t ma,
-                           float64x2_t ia, float64x2_t mb, float64x2_t ib,
-                           float64x2_t acc) {
-  const float64x2_t va0 = vmulq_f64(vsubq_f64(vld1q_f64(a), ma), ia);
+/// acc += (za - (b-mb)*ib)^2.
+inline float64x2_t Quarter(const double* za, const double* b,
+                           float64x2_t mb, float64x2_t ib, float64x2_t acc) {
   const float64x2_t vb0 = vmulq_f64(vsubq_f64(vld1q_f64(b), mb), ib);
-  const float64x2_t d0 = vsubq_f64(va0, vb0);
+  const float64x2_t d0 = vsubq_f64(vld1q_f64(za), vb0);
   acc = vfmaq_f64(acc, d0, d0);
-  const float64x2_t va1 = vmulq_f64(vsubq_f64(vld1q_f64(a + 2), ma), ia);
   const float64x2_t vb1 = vmulq_f64(vsubq_f64(vld1q_f64(b + 2), mb), ib);
-  const float64x2_t d1 = vsubq_f64(va1, vb1);
+  const float64x2_t d1 = vsubq_f64(vld1q_f64(za + 2), vb1);
   return vfmaq_f64(acc, d1, d1);
 }
 
-bool NeonZNormDistanceBlock(const double* a, const double* b, size_t length,
-                            double mean_a, double inv_a, double mean_b,
-                            double inv_b, double limit_sq, double* sum_sq) {
-  const float64x2_t ma = vdupq_n_f64(mean_a);
-  const float64x2_t ia = vdupq_n_f64(inv_a);
+bool NeonZNormDistanceBlock(const double* za, const double* b,
+                            size_t length, double mean_b, double inv_b,
+                            double limit_sq, double* sum_sq) {
   const float64x2_t mb = vdupq_n_f64(mean_b);
   const float64x2_t ib = vdupq_n_f64(inv_b);
   float64x2_t acc0 = vdupq_n_f64(0.0);
@@ -65,17 +60,17 @@ bool NeonZNormDistanceBlock(const double* a, const double* b, size_t length,
 
   if (limit_sq == kInf) {
     for (; i + kDistanceBlock <= length; i += kDistanceBlock) {
-      acc0 = Quarter(a + i, b + i, ma, ia, mb, ib, acc0);
-      acc1 = Quarter(a + i + 4, b + i + 4, ma, ia, mb, ib, acc1);
-      acc2 = Quarter(a + i + 8, b + i + 8, ma, ia, mb, ib, acc2);
-      acc3 = Quarter(a + i + 12, b + i + 12, ma, ia, mb, ib, acc3);
+      acc0 = Quarter(za + i, b + i, mb, ib, acc0);
+      acc1 = Quarter(za + i + 4, b + i + 4, mb, ib, acc1);
+      acc2 = Quarter(za + i + 8, b + i + 8, mb, ib, acc2);
+      acc3 = Quarter(za + i + 12, b + i + 12, mb, ib, acc3);
     }
   } else {
     for (; i + kDistanceBlock <= length; i += kDistanceBlock) {
-      acc0 = Quarter(a + i, b + i, ma, ia, mb, ib, acc0);
-      acc1 = Quarter(a + i + 4, b + i + 4, ma, ia, mb, ib, acc1);
-      acc2 = Quarter(a + i + 8, b + i + 8, ma, ia, mb, ib, acc2);
-      acc3 = Quarter(a + i + 12, b + i + 12, ma, ia, mb, ib, acc3);
+      acc0 = Quarter(za + i, b + i, mb, ib, acc0);
+      acc1 = Quarter(za + i + 4, b + i + 4, mb, ib, acc1);
+      acc2 = Quarter(za + i + 8, b + i + 8, mb, ib, acc2);
+      acc3 = Quarter(za + i + 12, b + i + 12, mb, ib, acc3);
       if (FoldSum(acc0, acc1, acc2, acc3) >= limit_sq) {
         return false;
       }
@@ -86,9 +81,8 @@ bool NeonZNormDistanceBlock(const double* a, const double* b, size_t length,
   // enter the vector loop and are bit-identical to the scalar backend.
   double sum = FoldSum(acc0, acc1, acc2, acc3);
   for (; i < length; ++i) {
-    const double va = (a[i] - mean_a) * inv_a;
     const double vb = (b[i] - mean_b) * inv_b;
-    const double d = va - vb;
+    const double d = za[i] - vb;
     sum += d * d;
   }
   if (limit_sq != kInf && sum >= limit_sq) {

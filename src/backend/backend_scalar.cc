@@ -1,5 +1,6 @@
-// The portable reference backend: the blocked kernel that previously lived
-// inline in discord/distance.cc, moved verbatim. Its strict left-to-right
+// The portable reference backend: the blocked distance kernel over a
+// pre-normalized query (discord/distance.h normalizes each scan's query
+// once). Its strict left-to-right
 // block-fold order defines the repo's bit-exactness contract — every other
 // backend is validated against this one (bitwise where the table says
 // bit_exact_distance, within tolerance otherwise; see DESIGN.md §11).
@@ -15,26 +16,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Writes the squared z-normalized differences of a[0..count) and
-/// b[0..count) into out[0..count). Branch-free with independent iterations,
-/// so the compiler can vectorize it under the baseline ISA; the caller
-/// folds `out` into its running sum left-to-right, which keeps the overall
-/// summation order identical to a plain scalar loop's.
-inline void SquaredDiffBlock(const double* a, const double* b, size_t count,
-                             double mean_a, double inv_a, double mean_b,
-                             double inv_b, double* out) {
+/// Writes the squared differences of the normalized query za[0..count)
+/// and the z-normalized b[0..count) into out[0..count). Branch-free with
+/// independent iterations, so the compiler can vectorize it under the
+/// baseline ISA; the caller folds `out` into its running sum left-to-right,
+/// which keeps the overall summation order identical to a plain scalar
+/// loop's.
+inline void SquaredDiffBlock(const double* za, const double* b,
+                             size_t count, double mean_b, double inv_b,
+                             double* out) {
   for (size_t i = 0; i < count; ++i) {
-    const double va = (a[i] - mean_a) * inv_a;
     const double vb = (b[i] - mean_b) * inv_b;
-    const double d = va - vb;
+    const double d = za[i] - vb;
     out[i] = d * d;
   }
 }
 
-bool ScalarZNormDistanceBlock(const double* a, const double* b,
-                              size_t length, double mean_a, double inv_a,
-                              double mean_b, double inv_b, double limit_sq,
-                              double* sum_sq) {
+bool ScalarZNormDistanceBlock(const double* za, const double* b,
+                              size_t length, double mean_b, double inv_b,
+                              double limit_sq, double* sum_sq) {
   double block[kDistanceBlock];
   double sum = 0.0;
   size_t i = 0;
@@ -42,15 +42,13 @@ bool ScalarZNormDistanceBlock(const double* a, const double* b,
   if (limit_sq == kInf) {
     // Full-length fast path: no abandon checks at all.
     for (; i + kDistanceBlock <= length; i += kDistanceBlock) {
-      SquaredDiffBlock(a + i, b + i, kDistanceBlock, mean_a, inv_a, mean_b,
-                       inv_b, block);
+      SquaredDiffBlock(za + i, b + i, kDistanceBlock, mean_b, inv_b, block);
       for (size_t j = 0; j < kDistanceBlock; ++j) {
         sum += block[j];
       }
     }
     const size_t tail = length - i;
-    SquaredDiffBlock(a + i, b + i, tail, mean_a, inv_a, mean_b, inv_b,
-                     block);
+    SquaredDiffBlock(za + i, b + i, tail, mean_b, inv_b, block);
     for (size_t j = 0; j < tail; ++j) {
       sum += block[j];
     }
@@ -63,8 +61,7 @@ bool ScalarZNormDistanceBlock(const double* a, const double* b,
   // block-granular check abandons exactly the calls a per-element check
   // would (possibly a few elements later).
   for (; i + kDistanceBlock <= length; i += kDistanceBlock) {
-    SquaredDiffBlock(a + i, b + i, kDistanceBlock, mean_a, inv_a, mean_b,
-                     inv_b, block);
+    SquaredDiffBlock(za + i, b + i, kDistanceBlock, mean_b, inv_b, block);
     for (size_t j = 0; j < kDistanceBlock; ++j) {
       sum += block[j];
     }
@@ -73,7 +70,7 @@ bool ScalarZNormDistanceBlock(const double* a, const double* b,
     }
   }
   const size_t tail = length - i;
-  SquaredDiffBlock(a + i, b + i, tail, mean_a, inv_a, mean_b, inv_b, block);
+  SquaredDiffBlock(za + i, b + i, tail, mean_b, inv_b, block);
   for (size_t j = 0; j < tail; ++j) {
     sum += block[j];
   }

@@ -183,6 +183,7 @@ StatusOr<JobOutcome> RunDetectionJob(const JobSpec& spec,
         options.sax = *sax;
         options.top_k = spec.top_k;
         options.num_threads = spec.num_threads;
+        options.cancel = cancel;
         StatusOr<DiscordResult> result = FindDiscordsHotSax(series, options);
         GVA_RETURN_IF_ERROR(result.status());
         JobOutcome out;
@@ -239,8 +240,9 @@ StatusOr<JobOutcome> RunDetectionJob(const JobSpec& spec,
   }();
 
   // A cancel that lands mid-run in a detector without a token (everything
-  // but RRA) surfaces here: the result is complete but unwanted — report
-  // Cancelled rather than handing back work the caller abandoned.
+  // but HOTSAX and RRA) surfaces here: the result is complete but
+  // unwanted — report Cancelled rather than handing back work the caller
+  // abandoned.
   if (CancelRequested(cancel)) {
     return Status::Cancelled("job cancelled while running");
   }

@@ -133,8 +133,9 @@ struct JobRunnerOptions {
 /// library's detector entry points — the same calls the CLI makes — so
 /// results are bit-identical to the CLI's. Cancellation is cooperative:
 /// Cancel() removes a queued job immediately and flags a running one (the
-/// RRA search polls the flag between outer candidates; other detectors
-/// finish their current call, then the result is discarded as cancelled).
+/// HOTSAX and RRA searches poll the flag between outer candidates; other
+/// detectors finish their current call, then the result is discarded as
+/// cancelled).
 ///
 /// The runner is deliberately clock-free (src/core determinism contract):
 /// admission order is the only ordering, and ids are a dense sequence.

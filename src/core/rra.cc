@@ -48,15 +48,16 @@ struct SearchState {
   std::vector<size_t> inner_random;
   // rule id -> candidate indices, for the "same rule first" inner phase.
   std::unordered_map<int32_t, std::vector<size_t>> by_rule;
-  // Every series position, pre-shuffled: the exhaustive inner tail. The
-  // interval starts only quantize the alignment; a candidate that survives
-  // them is verified against every sliding-window subsequence (with early
-  // abandoning), which keeps the reported discord exact.
+  // Every series position, pre-shuffled: the exhaustive inner tail of
+  // RRAx (empty for RRA~, which never reads it). The interval starts only
+  // quantize the alignment; a candidate that survives them is verified
+  // against every sliding-window subsequence (with early abandoning), which
+  // keeps the reported discord exact.
   std::vector<size_t> all_positions_random;
 };
 
 SearchState BuildOrders(const std::vector<RuleInterval>& candidates,
-                        size_t series_length, uint64_t seed) {
+                        size_t series_length, uint64_t seed, bool exact_nn) {
   SearchState state;
   state.candidates = &candidates;
   state.outer_order.resize(candidates.size());
@@ -76,6 +77,11 @@ SearchState BuildOrders(const std::vector<RuleInterval>& candidates,
   rng.Shuffle(state.inner_random);
   for (size_t i = 0; i < candidates.size(); ++i) {
     state.by_rule[candidates[i].rule].push_back(i);
+  }
+  // The last draws from `rng`, so skipping them for RRA~ leaves every
+  // other visit order as it is.
+  if (!exact_nn) {
+    return state;
   }
   state.all_positions_random.resize(series_length);
   for (size_t i = 0; i < series_length; ++i) {
@@ -107,16 +113,9 @@ struct CacheUpdate {
   size_t nn_pos;
 };
 
-/// Per-round progress accounting, merged from chunk-local tallies after the
-/// round joins.
-struct RoundProgress {
-  uint64_t visited = 0;
-  uint64_t pruned = 0;
-};
-
 /// One discord-search round (Algorithm 1), parallelized over chunks of the
-/// outer ordering. Returns false when no remaining candidate has a finite
-/// nearest-neighbor distance.
+/// outer ordering. Adds the round's accounting to `tally`. Returns false
+/// when no remaining candidate has a finite nearest-neighbor distance.
 ///
 /// Determinism: a candidate scan starts from scratch (no partial bounds),
 /// follows fixed visit orders, and is cut short only by strict comparison
@@ -129,10 +128,13 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
                      bool exact_nn, size_t refine_delta,
                      const std::atomic<bool>* cancel, ThreadPool& pool,
                      NnCache& cache, obs::BestSoFarLog& trajectory,
-                     RoundProgress* progress, DiscordRecord* best) {
+                     SearchTally* tally, DiscordRecord* best) {
   GVA_OBS_SPAN("search.rra.round");
   const std::vector<RuleInterval>& candidates = *state.candidates;
   const size_t m = dist.series_length();
+  // A chunk stamps its trajectory samples with the calls of earlier rounds
+  // plus its own; with one thread that is the search's exact call count.
+  const uint64_t calls_before = tally->calls.calls();
 
   SharedBestDistance shared_best;
 
@@ -156,14 +158,15 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
 
   std::vector<BestCandidate> chunk_best(pool.num_threads());
   std::vector<std::vector<CacheUpdate>> chunk_updates(pool.num_threads());
-  std::vector<RoundProgress> chunk_progress(pool.num_threads());
+  std::vector<SearchTally> chunk_tally(pool.num_threads());
 
   pool.ParallelFor(0, state.outer_order.size(), [&](size_t chunk_begin,
                                                     size_t chunk_end,
                                                     size_t chunk) {
     GVA_OBS_SPAN("search.rra.chunk");
     BestCandidate local;
-    RoundProgress tally;
+    SearchTally local_tally;
+    DistanceScan scan(dist);
     std::vector<CacheUpdate>& updates = chunk_updates[chunk];
     for (size_t oi = chunk_begin; oi < chunk_end; ++oi) {
       // Cancellation poll, one relaxed load per outer candidate: a
@@ -176,11 +179,12 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
       if (excluded[ci] || cache.exact[ci]) {
         continue;
       }
-      ++tally.visited;
+      ++local_tally.visited;
       const RuleInterval& cand = candidates[ci];
       const size_t p = cand.span.start;
       const size_t len = cand.span.length();
       const double norm = normalize ? static_cast<double>(len) : 1.0;
+      scan.SetQuery(p, len, dist.StatsOf(p, len));
 
       double nn = SubsequenceDistance::kInfinity;  // normalized units
       size_t nn_q = 0;
@@ -196,7 +200,7 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
         }
         const double limit_raw =
             nn == SubsequenceDistance::kInfinity ? nn : nn * norm;
-        const double raw = dist.Distance(p, q, len, limit_raw);
+        const double raw = scan.Distance(q, dist.StatsOf(q, len), limit_raw);
         const double d = raw / norm;
         if (d < nn) {
           nn = d;
@@ -284,15 +288,16 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
         if (nn != SubsequenceDistance::kInfinity) {
           local.Consider(BestCandidate{nn, p, len, nn_q, cand.rule, true});
           if (shared_best.RaiseTo(nn)) {
-            trajectory.Record(dist.calls(), nn);
+            trajectory.Record(calls_before + scan.tally().calls(), nn);
           }
         }
       } else {
-        ++tally.pruned;
+        ++local_tally.pruned;
       }
     }
+    local_tally.calls = scan.tally();
     chunk_best[chunk] = local;
-    chunk_progress[chunk] = tally;
+    chunk_tally[chunk] = local_tally;
   });
 
   // Post-round merge: publish what the chunks learned. Each candidate index
@@ -309,9 +314,8 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
   for (const BestCandidate& candidate : chunk_best) {
     overall.Consider(candidate);
   }
-  for (const RoundProgress& tally : chunk_progress) {
-    progress->visited += tally.visited;
-    progress->pruned += tally.pruned;
+  for (const SearchTally& t : chunk_tally) {
+    *tally += t;
   }
   if (!overall.valid) {
     return false;
@@ -339,8 +343,8 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
   if (candidates.empty()) {
     return result;
   }
-  SearchState state =
-      BuildOrders(candidates, series.size(), options.seed);
+  SearchState state = BuildOrders(candidates, series.size(), options.seed,
+                                  options.exact_nearest_neighbor);
   SubsequenceDistance dist(series, options.sax.znorm_epsilon);
   std::vector<char> excluded(candidates.size(), 0);
   ThreadPool pool(options.num_threads);
@@ -350,7 +354,7 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
   cache.nn_pos.assign(candidates.size(), 0);
 
   obs::BestSoFarLog trajectory;
-  RoundProgress progress;
+  SearchTally tally;
   for (size_t k = 0; k < options.top_k; ++k) {
     DiscordRecord best;
     // Alignment-refinement radius: half a PAA segment on each side covers
@@ -360,7 +364,7 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
     const bool found = FindBestDiscord(
         dist, state, excluded, options.normalize_by_length,
         options.exact_nearest_neighbor, refine_delta, options.cancel, pool,
-        cache, trajectory, &progress, &best);
+        cache, trajectory, &tally, &best);
     // A cancelled round may have skipped candidates, so whatever it
     // reported is not trustworthy: the whole search fails as Cancelled.
     if (options.cancel != nullptr &&
@@ -378,11 +382,7 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
       }
     }
   }
-  result.distance_calls = dist.calls();
-  result.distance_calls_completed = dist.calls_completed();
-  result.distance_calls_abandoned = dist.calls_abandoned();
-  result.candidates_visited = progress.visited;
-  result.candidates_pruned = progress.pruned;
+  tally.WriteTo(&result);
   result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "rra", obs::GlobalMetrics());
   return result;
@@ -405,6 +405,7 @@ std::vector<double> IntervalNnDistances(std::span<const double> series,
                                         bool normalize_by_length,
                                         double znorm_epsilon) {
   SubsequenceDistance dist(series, znorm_epsilon);
+  DistanceScan scan(dist);
   const size_t m = series.size();
   std::vector<double> result(all.size(), SubsequenceDistance::kInfinity);
   for (size_t i = 0; i < all.size(); ++i) {
@@ -415,6 +416,7 @@ std::vector<double> IntervalNnDistances(std::span<const double> series,
     }
     const double norm =
         normalize_by_length ? static_cast<double>(len) : 1.0;
+    scan.SetQuery(p, len, dist.StatsOf(p, len));
     double nn = SubsequenceDistance::kInfinity;
     for (size_t j = 0; j < all.size(); ++j) {
       if (j == i) {
@@ -430,7 +432,8 @@ std::vector<double> IntervalNnDistances(std::span<const double> series,
       }
       const double limit_raw =
           nn == SubsequenceDistance::kInfinity ? nn : nn * norm;
-      const double d = dist.Distance(p, q, len, limit_raw) / norm;
+      const double d =
+          scan.Distance(q, dist.StatsOf(q, len), limit_raw) / norm;
       if (d < nn) {
         nn = d;
       }

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "discord/distance.h"
+#include "discord/parallel_search.h"
 #include "obs/trace.h"
 #include "timeseries/sliding_window.h"
 #include "util/strings.h"
@@ -44,6 +45,7 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
 
   const size_t candidates = NumSlidingWindows(series.size(), window);
   SubsequenceDistance dist(series);
+  const std::vector<WindowStats> stats = dist.StatsOfAllWindows(window);
 
   // One full pass computes every candidate's nearest non-self neighbor.
   // Candidates are independent (each scan abandons only against its own
@@ -54,19 +56,22 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
                               SubsequenceDistance::kInfinity);
   std::vector<size_t> nn_pos(candidates, 0);
   ThreadPool pool(num_threads);
+  std::vector<CallTally> chunk_calls(pool.num_threads());
   {
     GVA_OBS_SPAN("search.brute.pass");
     pool.ParallelFor(0, candidates, [&](size_t chunk_begin, size_t chunk_end,
-                                        size_t /*chunk*/) {
+                                        size_t chunk) {
       GVA_OBS_SPAN("search.brute.chunk");
+      DistanceScan scan(dist);
       for (size_t p = chunk_begin; p < chunk_end; ++p) {
+        scan.SetQuery(p, window, stats[p]);
         double best = SubsequenceDistance::kInfinity;
         size_t best_q = 0;
         for (size_t q = 0; q < candidates; ++q) {
           if (IsSelfMatch(p, q, window)) {
             continue;
           }
-          const double d = dist.Distance(p, q, window, best);
+          const double d = scan.Distance(q, stats[q], best);
           if (d < best) {
             best = d;
             best_q = q;
@@ -75,6 +80,7 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
         nn_dist[p] = best;
         nn_pos[p] = best_q;
       }
+      chunk_calls[chunk] = scan.tally();
     });
   }
 
@@ -106,14 +112,15 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
     result.discords.push_back(
         DiscordRecord{p, window, nn_dist[p], nn_pos[p], -2});
   }
-  result.distance_calls = dist.calls();
-  result.distance_calls_completed = dist.calls_completed();
-  result.distance_calls_abandoned = dist.calls_abandoned();
   // Every candidate's scan runs to its own conclusion; there is no shared
   // best-so-far, hence nothing is ever outer-loop pruned — which also makes
   // the call split thread-count-invariant here, unlike HOTSAX/RRA.
-  result.candidates_visited = candidates;
-  result.candidates_pruned = 0;
+  SearchTally tally;
+  for (const CallTally& calls : chunk_calls) {
+    tally.calls += calls;
+  }
+  tally.visited = candidates;
+  tally.WriteTo(&result);
   AccumulateSearchMetrics(result, "brute", obs::GlobalMetrics());
   return result;
 }

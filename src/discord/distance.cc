@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "backend/backend.h"
+#include "timeseries/sliding_window.h"
 #include "timeseries/stats.h"
 #include "util/check.h"
 
@@ -30,9 +31,13 @@ double ZNormEuclideanDistance(std::span<const double> a,
   // the arithmetic identical to ZNormalize's centering-only branch.
   const double inv_a = sd_a < epsilon ? 1.0 : 1.0 / sd_a;
   const double inv_b = sd_b < epsilon ? 1.0 : 1.0 / sd_b;
+  std::vector<double> za(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    za[i] = (a[i] - mean_a) * inv_a;
+  }
   double sum_sq = 0.0;
   const bool completed = backend::ActiveBackend().znorm_distance_block(
-      a.data(), b.data(), a.size(), mean_a, inv_a, mean_b, inv_b,
+      za.data(), b.data(), b.size(), mean_b, inv_b,
       SubsequenceDistance::kInfinity, &sum_sq);
   GVA_CHECK(completed);  // An infinite limit never abandons.
   return std::sqrt(sum_sq);
@@ -47,33 +52,30 @@ SubsequenceDistance::SubsequenceDistance(
                                          : &backend::ActiveBackend()),
       stats_(series) {}
 
-SubsequenceDistance::MeanStd SubsequenceDistance::StatsOf(
-    size_t pos, size_t length) const {
+WindowStats SubsequenceDistance::StatsOf(size_t pos, size_t length) const {
   GVA_DCHECK(length > 0);
   GVA_DCHECK(pos + length <= series_.size());
   const RollingStats::Moments m = stats_.MomentsOf(pos, length);
   const double sd = std::sqrt(m.variance);
-  return MeanStd{m.mean, sd < epsilon_ ? 1.0 : 1.0 / sd};
+  return WindowStats{m.mean, sd < epsilon_ ? 1.0 : 1.0 / sd};
 }
 
-double SubsequenceDistance::Distance(size_t p, size_t q, size_t length,
-                                     double limit) const {
-  GVA_DCHECK(p + length <= series_.size());
-  GVA_DCHECK(q + length <= series_.size());
-  const MeanStd sp = StatsOf(p, length);
-  const MeanStd sq = StatsOf(q, length);
-  // kInfinity squared is kInfinity, so an unlimited call reaches the
-  // backend's check-free full-length path without a special case here.
-  const double limit_sq = limit == kInfinity ? kInfinity : limit * limit;
-  double sum_sq = 0.0;
-  const bool completed = backend_->znorm_distance_block(
-      series_.data() + p, series_.data() + q, length, sp.mean, sp.inv_std,
-      sq.mean, sq.inv_std, limit_sq, &sum_sq);
-  if (!completed) {
-    abandoned_.Add();
-    return kInfinity;
+std::vector<WindowStats> SubsequenceDistance::StatsOfAllWindows(
+    size_t length) const {
+  std::vector<WindowStats> table(NumSlidingWindows(series_.size(), length));
+  for (size_t p = 0; p < table.size(); ++p) {
+    table[p] = StatsOf(p, length);
   }
-  return Completed(std::sqrt(sum_sq));
+  return table;
+}
+
+void DistanceScan::SetQuery(size_t p, size_t length, WindowStats stats) {
+  GVA_DCHECK(p + length <= series_.size());
+  query_.resize(length);
+  const double* x = series_.data() + p;
+  for (size_t i = 0; i < length; ++i) {
+    query_[i] = (x[i] - stats.mean) * stats.inv_std;
+  }
 }
 
 }  // namespace gva

@@ -1,49 +1,68 @@
 #ifndef GVA_DISCORD_DISTANCE_H_
 #define GVA_DISCORD_DISTANCE_H_
 
-#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <vector>
 
 #include "backend/backend.h"
-#include "obs/metrics.h"
 #include "timeseries/rolling_stats.h"
 #include "timeseries/znorm.h"
+#include "util/check.h"
 
 namespace gva {
 
 /// Plain Euclidean distance between equal-length vectors.
 double EuclideanDistance(std::span<const double> a, std::span<const double> b);
 
-/// Euclidean distance between the z-normalized forms of `a` and `b`.
-/// Allocation-free: the z-normalized values are fused into the accumulation
-/// loop instead of being materialized. The arithmetic — mean, standard
-/// deviation, flat-window centering, per-element normalize-subtract-square
-/// — is the ZNormalize + EuclideanDistance composition, dispatched through
-/// the active kernel backend: bit-identical to that composition under the
-/// scalar backend, within rounding tolerance under the SIMD backends (the
-/// documented summation-order exception, DESIGN.md §11). Convenience
-/// wrapper used by tests and diagnostics; the hot path lives in
-/// SubsequenceDistance.
+/// Euclidean distance between the z-normalized forms of `a` and `b`. The
+/// arithmetic — mean, standard deviation, flat-window centering,
+/// per-element normalize-subtract-square — is the ZNormalize +
+/// EuclideanDistance composition, dispatched through the active kernel
+/// backend: bit-identical to that composition under the scalar backend,
+/// within rounding tolerance under the SIMD backends (the documented
+/// summation-order exception, DESIGN.md §11). Convenience wrapper used by
+/// tests and diagnostics; the searches scan through DistanceScan.
 double ZNormEuclideanDistance(std::span<const double> a,
                               std::span<const double> b,
                               double epsilon = kDefaultZNormEpsilon);
 
-/// Distance oracle over one time series. Window means and standard
-/// deviations are derived from a shared RollingStats prefix-sum table in
-/// O(1) per window, so a distance between any two equal-length subsequences
-/// costs one fused normalize-and-accumulate pass with optional early
-/// abandoning. Every call — abandoned or not — increments a call counter,
-/// which is what the paper's Table 1 compares across algorithms ("number of
-/// calls to the distance function"). The accounting is split by outcome
-/// (relaxed atomics): calls_completed() scans that ran to the end,
-/// calls_abandoned() scans the limit cut short — their sum is calls(), and
-/// the ratio is a direct measure of pruning effectiveness. Because the
-/// split is an algorithm *output* (the Table-1 quantity), the counters are
-/// always-on BasicCounter<true>, not the GVA_OBS-gated obs::Counter: a
-/// -DGVA_OBS=OFF build strips the telemetry but still reports exact call
-/// counts. The optional distance histogram is telemetry and stays gated.
+/// What the kernel needs to z-normalize one window.
+struct WindowStats {
+  double mean;
+  double inv_std;  // 1/std, or 1.0 for flat windows (mean-centering only)
+};
+
+/// Distance calls counted by one thread of a search: plain counters, no
+/// atomics. The paper's Table 1 compares algorithms by "number of calls to
+/// the distance function"; every call — abandoned or not — increments
+/// exactly one of the two fields, and their ratio measures pruning. A
+/// parallel search gives each chunk its own tally and sums them after the
+/// round's join, so the totals are exact for any thread count without a
+/// shared read-modify-write per call. Because the split is an algorithm
+/// output, it is counted in every build, -DGVA_OBS=OFF included.
+struct CallTally {
+  /// Scans that ran to the end and returned a real distance.
+  uint64_t completed = 0;
+  /// Scans the abandon limit cut short (returned kInfinity).
+  uint64_t abandoned = 0;
+
+  uint64_t calls() const { return completed + abandoned; }
+
+  CallTally& operator+=(const CallTally& other) {
+    completed += other.completed;
+    abandoned += other.abandoned;
+    return *this;
+  }
+};
+
+/// Distance oracle over one time series: the series, the flat-window
+/// epsilon, the kernel backend, and the RollingStats prefix-sum table that
+/// gives any window's mean and standard deviation in O(1). Distance calls
+/// are made through a DistanceScan, which z-normalizes its query window
+/// once and counts its calls.
 ///
 /// Kernel structure (see DESIGN.md §5c and §11): the fused pass runs
 /// through a backend::KernelBackend table selected at construction
@@ -57,12 +76,8 @@ double ZNormEuclideanDistance(std::span<const double> a,
 /// completed distances agree bitwise when the backend advertises
 /// bit_exact_distance and within rounding tolerance otherwise.
 ///
-/// Thread safety: one instance may be shared by the parallel searches.
-/// Distance() is const and touches only immutable state plus relaxed
-/// atomics, so concurrent Distance() calls are race-free and the final
-/// calls() total is exact for any thread count (the interleaving of
-/// increments is not reproducible, but the sum is). ResetCalls() must not
-/// race with in-flight Distance() calls.
+/// Thread safety: immutable after construction, so any number of threads
+/// may scan one oracle at once, each through its own DistanceScan.
 class SubsequenceDistance {
  public:
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
@@ -81,68 +96,68 @@ class SubsequenceDistance {
       double znorm_epsilon = kDefaultZNormEpsilon,
       const backend::KernelBackend* kernel_backend = nullptr);
 
-  /// Euclidean distance between the z-normalized subsequences
-  /// [p, p+length) and [q, q+length). If the running squared sum proves the
-  /// distance >= `limit`, returns kInfinity (early abandon). Counted as one
-  /// distance call either way.
-  double Distance(size_t p, size_t q, size_t length,
-                  double limit = kInfinity) const;
+  /// Mean and 1/std of [pos, pos + length), from the prefix sums.
+  WindowStats StatsOf(size_t pos, size_t length) const;
 
-  /// Number of Distance() invocations so far (completed + abandoned).
-  uint64_t calls() const {
-    return completed_.value() + abandoned_.value();
-  }
-  /// Calls whose scan ran to the end and returned a real distance.
-  uint64_t calls_completed() const { return completed_.value(); }
-  /// Calls the abandon limit cut short (returned kInfinity).
-  uint64_t calls_abandoned() const { return abandoned_.value(); }
-  void ResetCalls() {
-    completed_.Reset();
-    abandoned_.Reset();
-  }
-
-  /// Attaches a histogram that records every *completed* call's distance
-  /// value (abandoned calls have no value to record). Pass nullptr to
-  /// detach. Opt-in because it adds a histogram update to the hot path.
-  /// The slot is a relaxed atomic, so attaching or detaching while other
-  /// threads are inside Distance() is race-free; in-flight calls may record
-  /// into whichever histogram they loaded, so keep the histogram alive
-  /// until every call that could have seen it has returned.
-  void AttachDistanceHistogram(obs::Histogram* histogram) {
-    distance_histogram_.store(histogram, std::memory_order_relaxed);
-  }
+  /// StatsOf(p, length) for every window start p, in one pass: the table
+  /// a fixed-length search computes once instead of once per call.
+  std::vector<WindowStats> StatsOfAllWindows(size_t length) const;
 
   size_t series_length() const { return series_.size(); }
 
-  /// The kernel backend this oracle dispatches through.
-  const backend::KernelBackend& kernel_backend() const { return *backend_; }
-
  private:
-  struct MeanStd {
-    double mean;
-    double inv_std;  // 1/std, or 1.0 for flat windows (mean-centering only)
-  };
-
-  MeanStd StatsOf(size_t pos, size_t length) const;
-
-  /// Accounting tail of a completed scan: counts it and feeds the optional
-  /// distance histogram.
-  double Completed(double d) const {
-    completed_.Add();
-    obs::Histogram* h = distance_histogram_.load(std::memory_order_relaxed);
-    if (h != nullptr) {
-      h->Record(d);
-    }
-    return d;
-  }
+  friend class DistanceScan;
 
   std::span<const double> series_;
   double epsilon_;
   const backend::KernelBackend* backend_;
   RollingStats stats_;
-  mutable obs::BasicCounter<true> completed_;
-  mutable obs::BasicCounter<true> abandoned_;
-  std::atomic<obs::Histogram*> distance_histogram_{nullptr};
+};
+
+/// One thread's nearest-neighbor scans over a shared oracle. SetQuery
+/// z-normalizes the candidate window once — (x - mean) * inv_std, the
+/// expression the kernels apply to the other window — so each Distance()
+/// call pays only for the backend kernel and one increment of this scan's
+/// own tally. Not thread-safe: each chunk of a parallel search owns one.
+class DistanceScan {
+ public:
+  explicit DistanceScan(const SubsequenceDistance& oracle)
+      : series_(oracle.series_),
+        kernel_(oracle.backend_->znorm_distance_block) {}
+
+  /// Makes [p, p + length) the query; `stats` must be its StatsOf.
+  void SetQuery(size_t p, size_t length, WindowStats stats);
+
+  /// Euclidean distance between the z-normalized query and the
+  /// z-normalized window [q, q + length), where `stats_q` is that window's
+  /// StatsOf. If the running squared sum proves the distance >= `limit`,
+  /// returns kInfinity (early abandon). Counted as one call either way.
+  double Distance(size_t q, WindowStats stats_q,
+                  double limit = SubsequenceDistance::kInfinity) {
+    // kInfinity squared is kInfinity, so an unlimited call reaches the
+    // backend's check-free full-length path without a special case here.
+    const double limit_sq = limit == SubsequenceDistance::kInfinity
+                                ? SubsequenceDistance::kInfinity
+                                : limit * limit;
+    GVA_DCHECK(q + query_.size() <= series_.size());
+    double sum_sq = 0.0;
+    if (!kernel_(query_.data(), series_.data() + q, query_.size(),
+                 stats_q.mean, stats_q.inv_std, limit_sq, &sum_sq)) {
+      ++tally_.abandoned;
+      return SubsequenceDistance::kInfinity;
+    }
+    ++tally_.completed;
+    return std::sqrt(sum_sq);
+  }
+
+  /// The calls this scan has made so far.
+  const CallTally& tally() const { return tally_; }
+
+ private:
+  std::span<const double> series_;
+  decltype(backend::KernelBackend::znorm_distance_block) kernel_;
+  std::vector<double> query_;
+  CallTally tally_;
 };
 
 }  // namespace gva

@@ -1,7 +1,7 @@
 #include "discord/hotsax.h"
 
 #include <algorithm>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -17,48 +17,51 @@ namespace gva {
 
 namespace {
 
-/// Per-round progress accounting, merged from chunk-local tallies after the
-/// round joins (one cell per chunk, so totals are exact and, per chunk set,
-/// independent of completion order).
-struct RoundProgress {
-  uint64_t visited = 0;
-  uint64_t pruned = 0;
-};
-
 /// One discord search round over the allowed candidates, parallelized over
 /// chunks of the outer ordering. Every candidate's inner scan is a prefix
 /// of a fixed visit order (bucket siblings, then the shared shuffle), cut
 /// short only by strict comparison against the shared best-so-far, so a
 /// candidate that completes its scan always yields the same (distance,
 /// neighbor) pair; the cross-chunk arg-max reduction then makes the round
-/// winner identical for every thread count. Returns false when no candidate
-/// has a finite nearest-neighbor distance.
-bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
+/// winner identical for every thread count. Adds the round's accounting to
+/// `tally`. Returns false when no candidate has a finite nearest-neighbor
+/// distance.
+bool FindBestDiscord(const SubsequenceDistance& dist,
+                     const std::vector<WindowStats>& stats, size_t window,
                      const std::vector<size_t>& outer_order,
-                     const std::unordered_map<std::string,
-                                              std::vector<size_t>>& buckets,
-                     const std::vector<const std::string*>& word_of,
+                     const std::vector<std::vector<size_t>>& buckets,
+                     const std::vector<uint32_t>& word_id,
                      const std::vector<size_t>& inner_random,
-                     const std::vector<char>& excluded, ThreadPool& pool,
-                     obs::BestSoFarLog& trajectory, RoundProgress* progress,
+                     const std::vector<char>& excluded,
+                     const std::atomic<bool>* cancel, ThreadPool& pool,
+                     obs::BestSoFarLog& trajectory, SearchTally* tally,
                      DiscordRecord* best) {
   GVA_OBS_SPAN("search.hotsax.round");
+  // A chunk stamps its trajectory samples with the calls of earlier rounds
+  // plus its own; with one thread that is the search's exact call count.
+  const uint64_t calls_before = tally->calls.calls();
   SharedBestDistance shared_best;
   std::vector<BestCandidate> chunk_best(pool.num_threads());
-  std::vector<RoundProgress> chunk_progress(pool.num_threads());
+  std::vector<SearchTally> chunk_tally(pool.num_threads());
 
   pool.ParallelFor(0, outer_order.size(), [&](size_t chunk_begin,
                                               size_t chunk_end,
                                               size_t chunk) {
     GVA_OBS_SPAN("search.hotsax.chunk");
     BestCandidate local;
-    RoundProgress tally;
+    SearchTally local_tally;
+    DistanceScan scan(dist);
     for (size_t oi = chunk_begin; oi < chunk_end; ++oi) {
+      // Cancellation poll, one relaxed load per outer candidate, as in RRA.
+      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+        break;
+      }
       const size_t p = outer_order[oi];
       if (excluded[p]) {
         continue;
       }
-      ++tally.visited;
+      ++local_tally.visited;
+      scan.SetQuery(p, window, stats[p]);
       double nn = SubsequenceDistance::kInfinity;
       size_t nn_q = 0;
       bool pruned = false;
@@ -67,7 +70,7 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
         if (IsSelfMatch(p, q, window)) {
           return true;
         }
-        const double d = dist.Distance(p, q, window, nn);
+        const double d = scan.Distance(q, stats[q], nn);
         if (d < nn) {
           nn = d;
           nn_q = q;
@@ -80,8 +83,8 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
       };
 
       // Heuristic inner ordering: same-word positions first...
-      const std::vector<size_t>& same_word = buckets.at(*word_of[p]);
-      for (size_t q : same_word) {
+      const uint32_t word = word_id[p];
+      for (size_t q : buckets[word]) {
         if (q != p && !visit(q)) {
           break;
         }
@@ -89,7 +92,7 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
       // ... then everything else in (pre-shuffled) random order.
       if (!pruned) {
         for (size_t q : inner_random) {
-          if (*word_of[q] == *word_of[p]) {
+          if (word_id[q] == word) {
             continue;  // already visited through the bucket
           }
           if (!visit(q)) {
@@ -99,25 +102,25 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
       }
 
       if (pruned) {
-        ++tally.pruned;
+        ++local_tally.pruned;
       } else if (nn != SubsequenceDistance::kInfinity) {
         local.Consider(BestCandidate{nn, p, window, nn_q, -2, true});
         if (shared_best.RaiseTo(nn)) {
-          trajectory.Record(dist.calls(), nn);
+          trajectory.Record(calls_before + scan.tally().calls(), nn);
         }
       }
     }
+    local_tally.calls = scan.tally();
     chunk_best[chunk] = local;
-    chunk_progress[chunk] = tally;
+    chunk_tally[chunk] = local_tally;
   });
 
   BestCandidate overall;
   for (const BestCandidate& candidate : chunk_best) {
     overall.Consider(candidate);
   }
-  for (const RoundProgress& tally : chunk_progress) {
-    progress->visited += tally.visited;
-    progress->pruned += tally.pruned;
+  for (const SearchTally& t : chunk_tally) {
+    *tally += t;
   }
   if (!overall.valid) {
     return false;
@@ -149,15 +152,22 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   GVA_ASSIGN_OR_RETURN(SaxRecords records, std::move(discretized));
   const size_t candidates = records.size();
 
-  // Word buckets: word -> positions, in index order.
-  std::unordered_map<std::string, std::vector<size_t>> buckets;
-  buckets.reserve(candidates);
-  for (size_t i = 0; i < candidates; ++i) {
-    buckets[records.words[i]].push_back(i);
-  }
-  std::vector<const std::string*> word_of(candidates);
-  for (size_t i = 0; i < candidates; ++i) {
-    word_of[i] = &records.words[i];
+  // Word ids in first-occurrence order, and their buckets: id -> positions
+  // in index order. The search compares ids, never the words themselves.
+  std::vector<uint32_t> word_id(candidates);
+  std::vector<std::vector<size_t>> buckets;
+  {
+    std::unordered_map<std::string_view, uint32_t> ids;
+    ids.reserve(candidates);
+    for (size_t i = 0; i < candidates; ++i) {
+      const auto [it, inserted] = ids.try_emplace(
+          records.words[i], static_cast<uint32_t>(buckets.size()));
+      if (inserted) {
+        buckets.emplace_back();
+      }
+      word_id[i] = it->second;
+      buckets[it->second].push_back(i);
+    }
   }
 
   Rng rng(options.seed);
@@ -171,8 +181,8 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   rng.Shuffle(outer_order);
   std::stable_sort(outer_order.begin(), outer_order.end(),
                    [&](size_t a, size_t b) {
-                     return buckets.at(*word_of[a]).size() <
-                            buckets.at(*word_of[b]).size();
+                     return buckets[word_id[a]].size() <
+                            buckets[word_id[b]].size();
                    });
 
   // Shared random inner ordering.
@@ -182,7 +192,8 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   }
   rng.Shuffle(inner_random);
 
-  SubsequenceDistance dist(series);
+  SubsequenceDistance dist(series, options.sax.znorm_epsilon);
+  const std::vector<WindowStats> stats = dist.StatsOfAllWindows(window);
   // Plain bytes instead of vector<bool>: chunk threads read it while only
   // the sequential between-round code writes it, and the byte vector keeps
   // those reads free of bit-packing proxies.
@@ -191,12 +202,19 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
 
   DiscordResult result;
   obs::BestSoFarLog trajectory;
-  RoundProgress progress;
+  SearchTally tally;
   for (size_t k = 0; k < options.top_k; ++k) {
     DiscordRecord best;
-    if (!FindBestDiscord(dist, window, outer_order, buckets, word_of,
-                         inner_random, excluded, pool, trajectory, &progress,
-                         &best)) {
+    const bool found = FindBestDiscord(
+        dist, stats, window, outer_order, buckets, word_id, inner_random,
+        excluded, options.cancel, pool, trajectory, &tally, &best);
+    // A cancelled round may have skipped candidates, so whatever it
+    // reported is not trustworthy: the whole search fails as Cancelled.
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      return Status::Cancelled("hotsax search cancelled");
+    }
+    if (!found) {
       break;
     }
     result.discords.push_back(best);
@@ -207,11 +225,7 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
       }
     }
   }
-  result.distance_calls = dist.calls();
-  result.distance_calls_completed = dist.calls_completed();
-  result.distance_calls_abandoned = dist.calls_abandoned();
-  result.candidates_visited = progress.visited;
-  result.candidates_pruned = progress.pruned;
+  tally.WriteTo(&result);
   result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "hotsax", obs::GlobalMetrics());
   return result;

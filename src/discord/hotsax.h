@@ -1,6 +1,7 @@
 #ifndef GVA_DISCORD_HOTSAX_H_
 #define GVA_DISCORD_HOTSAX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -23,6 +24,12 @@ struct HotSaxOptions {
   /// threads. Reported discords are bit-identical for every value; only
   /// the distance-call count varies (pruning happens at different points).
   size_t num_threads = 1;
+  /// Optional cooperative-cancellation token (owned by the caller, e.g.
+  /// the server's JobRunner — DESIGN.md §13), polled exactly as
+  /// RraOptions::cancel is: once per outer candidate and between top-k
+  /// rounds. Once it reads true the search returns Status::Cancelled
+  /// instead of a result. Null (the default) never cancels.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// HOTSAX fixed-length discord discovery — the paper's state-of-the-art

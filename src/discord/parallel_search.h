@@ -5,7 +5,37 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "discord/discord_record.h"
+#include "discord/distance.h"
+
 namespace gva {
+
+/// A search's accounting: its distance calls plus the outer-loop
+/// candidates it visited and pruned. Each chunk of a round keeps its own
+/// and the round sums them after the join (one cell per chunk, so the
+/// totals are exact and, for a fixed chunk set, independent of completion
+/// order).
+struct SearchTally {
+  CallTally calls;
+  uint64_t visited = 0;
+  uint64_t pruned = 0;
+
+  SearchTally& operator+=(const SearchTally& other) {
+    calls += other.calls;
+    visited += other.visited;
+    pruned += other.pruned;
+    return *this;
+  }
+
+  /// Writes the totals into `result`'s accounting fields.
+  void WriteTo(DiscordResult* result) const {
+    result->distance_calls = calls.calls();
+    result->distance_calls_completed = calls.completed;
+    result->distance_calls_abandoned = calls.abandoned;
+    result->candidates_visited = visited;
+    result->candidates_pruned = pruned;
+  }
+};
 
 /// Monotonically increasing best-so-far discord distance shared by the
 /// threads of a parallel discord search. Threads prune a candidate as soon

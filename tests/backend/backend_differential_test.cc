@@ -26,6 +26,7 @@
 #include "datasets/simple.h"
 #include "discord/brute_force.h"
 #include "discord/distance.h"
+#include "discord/distance_test_util.h"
 #include "discord/hotsax.h"
 #include "sax/sax_transform.h"
 #include "util/rng.h"
@@ -90,7 +91,7 @@ TEST(BackendDifferentialTest, RandomizedLengthsAgainstScalar) {
         trial % 2 == 0 ? 2 + rng.UniformInt(63) : 2 + rng.UniformInt(1023);
     const size_t p = rng.UniformInt(series.size() - length + 1);
     const size_t q = rng.UniformInt(series.size() - length + 1);
-    const double truth = scalar_dist.Distance(p, q, length);
+    const double truth = PairDistance(scalar_dist, p, q, length);
 
     // Limits: no limit, a clearly-losing limit (abandons), a clearly-
     // winning limit (completes). Factors keep the limit away from the
@@ -100,8 +101,8 @@ TEST(BackendDifferentialTest, RandomizedLengthsAgainstScalar) {
     for (const KernelBackend* b : AvailableBackends()) {
       SubsequenceDistance dist(series, kDefaultZNormEpsilon, b);
       for (const double limit : limits) {
-        const double got = dist.Distance(p, q, length, limit);
-        const double want = scalar_dist.Distance(p, q, length, limit);
+        const double got = PairDistance(dist, p, q, length, limit);
+        const double want = PairDistance(scalar_dist, p, q, length, limit);
         ExpectDistanceAgreement(
             b, got, want, length,
             "p=" + std::to_string(p) + " q=" + std::to_string(q) +
@@ -123,8 +124,8 @@ TEST(BackendDifferentialTest, LimitedPathAgreesWithFullPathPerBackend) {
       const size_t length = 2 + rng.UniformInt(1023);
       const size_t p = rng.UniformInt(series.size() - length + 1);
       const size_t q = rng.UniformInt(series.size() - length + 1);
-      const double full = dist.Distance(p, q, length);
-      EXPECT_EQ(dist.Distance(p, q, length, full * 2.0 + 1.0), full)
+      const double full = PairDistance(dist, p, q, length);
+      EXPECT_EQ(PairDistance(dist, p, q, length, full * 2.0 + 1.0), full)
           << b->name << " len=" << length;
     }
   }
@@ -140,8 +141,8 @@ TEST(BackendDifferentialTest, FlatWindowsAgreeBitwiseOnEveryBackend) {
   }
   for (const KernelBackend* b : AvailableBackends()) {
     SubsequenceDistance dist(series, kDefaultZNormEpsilon, b);
-    EXPECT_EQ(dist.Distance(0, 100, 150), 0.0) << b->name;
-    EXPECT_EQ(dist.Distance(310, 400, 100), 0.0) << b->name;
+    EXPECT_EQ(PairDistance(dist, 0, 100, 150), 0.0) << b->name;
+    EXPECT_EQ(PairDistance(dist, 310, 400, 100), 0.0) << b->name;
   }
 }
 

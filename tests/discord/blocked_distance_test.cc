@@ -1,8 +1,8 @@
 // Exactness tests for the blocked-abandon distance kernel: the blocked
 // accumulation (vectorizable squared-diff blocks folded left-to-right, with
 // the abandon check between blocks) must match a scalar per-element
-// reference in value and in abandon *decision*, and the call counter must
-// still count exactly one call per invocation under concurrency.
+// reference in value and in abandon *decision*, and a scan's call tally
+// must count exactly one call per invocation under concurrency.
 //
 // Every oracle here is pinned to the scalar backend: these are properties
 // of the scalar blocked kernel specifically (e.g. "the limit compares
@@ -18,6 +18,7 @@
 #include "backend/backend.h"
 #include "datasets/simple.h"
 #include "discord/distance.h"
+#include "discord/distance_test_util.h"
 #include "util/rng.h"
 
 namespace gva {
@@ -90,7 +91,7 @@ TEST(BlockedDistanceTest, MatchesScalarReferenceOnRandomPairs) {
     const size_t len = 3 + rng.UniformInt(200);
     const size_t p = rng.UniformInt(series.size() - len + 1);
     const size_t q = rng.UniformInt(series.size() - len + 1);
-    const double blocked = dist.Distance(p, q, len);
+    const double blocked = PairDistance(dist, p, q, len);
     const double scalar = ref.Distance(p, q, len);
     EXPECT_NEAR(blocked, scalar, 1e-9)
         << "p=" << p << " q=" << q << " len=" << len;
@@ -107,7 +108,7 @@ TEST(BlockedDistanceTest, ExactBlockMultipleLengths) {
         8 * SubsequenceDistance::kBlock}) {
     for (size_t p : {0u, 17u, 400u}) {
       const size_t q = p + 300;
-      EXPECT_NEAR(dist.Distance(p, q, len), ref.Distance(p, q, len), 1e-12)
+      EXPECT_NEAR(PairDistance(dist, p, q, len), ref.Distance(p, q, len), 1e-12)
           << "len=" << len << " p=" << p;
     }
   }
@@ -128,7 +129,7 @@ TEST(BlockedDistanceTest, AbandonsIffScalarReferenceWouldReachLimit) {
     const size_t q = rng.UniformInt(series.size() - len + 1);
     const double truth = ref.Distance(p, q, len);
     const double limit = truth * (0.25 + 1.5 * rng.UniformDouble()) + 1e-9;
-    const double blocked = dist.Distance(p, q, len, limit);
+    const double blocked = PairDistance(dist, p, q, len, limit);
     const double scalar = ref.Distance(p, q, len, limit);
     if (scalar == SubsequenceDistance::kInfinity) {
       EXPECT_EQ(blocked, SubsequenceDistance::kInfinity)
@@ -152,9 +153,9 @@ TEST(BlockedDistanceTest, LimitAtExactDistanceDecidesLikeScalar) {
   for (size_t len : {7u, 32u, 45u, 64u}) {
     for (size_t p : {2u, 30u, 101u}) {
       const size_t q = p + 130;
-      const double full = dist.Distance(p, q, len);
+      const double full = PairDistance(dist, p, q, len);
       ASSERT_GT(full, 0.0);
-      const double blocked = dist.Distance(p, q, len, full);
+      const double blocked = PairDistance(dist, p, q, len, full);
       const double scalar = ref.Distance(p, q, len, full);
       if (scalar == SubsequenceDistance::kInfinity) {
         EXPECT_EQ(blocked, SubsequenceDistance::kInfinity)
@@ -177,8 +178,8 @@ TEST(BlockedDistanceTest, FastPathAndLimitedPathAgree) {
     const size_t len = 4 + rng.UniformInt(120);
     const size_t p = rng.UniformInt(series.size() - len + 1);
     const size_t q = rng.UniformInt(series.size() - len + 1);
-    const double unlimited = dist.Distance(p, q, len);
-    const double limited = dist.Distance(p, q, len, unlimited + 1.0);
+    const double unlimited = PairDistance(dist, p, q, len);
+    const double limited = PairDistance(dist, p, q, len, unlimited + 1.0);
     EXPECT_EQ(unlimited, limited) << "p=" << p << " q=" << q << " len=" << len;
   }
 }
@@ -196,17 +197,17 @@ TEST(BlockedDistanceTest, EveryLengthBelowOneBlockMatchesScalar) {
   for (size_t len = 2; len <= SubsequenceDistance::kBlock; ++len) {
     for (size_t p : {size_t{0}, size_t{33}, series.size() - len}) {
       const size_t q = (p + 2 * len + 19) % (series.size() - len + 1);
-      const double blocked = dist.Distance(p, q, len);
+      const double blocked = PairDistance(dist, p, q, len);
       const double scalar = ref.Distance(p, q, len);
       EXPECT_NEAR(blocked, scalar, 1e-12) << "len=" << len << " p=" << p;
 
       // Abandoning path, limit above the distance: same value bit-for-bit.
-      EXPECT_EQ(dist.Distance(p, q, len, blocked + 1.0), blocked)
+      EXPECT_EQ(PairDistance(dist, p, q, len, blocked + 1.0), blocked)
           << "len=" << len << " p=" << p;
       // Limit below: both kernels must abandon (sum is monotone even when
       // the whole subsequence is shorter than one block).
       if (blocked > 0.0) {
-        EXPECT_EQ(dist.Distance(p, q, len, blocked * 0.5),
+        EXPECT_EQ(PairDistance(dist, p, q, len, blocked * 0.5),
                   SubsequenceDistance::kInfinity)
             << "len=" << len << " p=" << p;
         EXPECT_EQ(ref.Distance(p, q, len, blocked * 0.5),
@@ -227,11 +228,11 @@ TEST(BlockedDistanceTest, ExactlyOneBlockExercisesNoRaggedTail) {
   const size_t len = SubsequenceDistance::kBlock;
   for (size_t p : {size_t{0}, size_t{7}, size_t{250}, series.size() - len}) {
     const size_t q = (p + 111) % (series.size() - len + 1);
-    const double full = dist.Distance(p, q, len);
+    const double full = PairDistance(dist, p, q, len);
     EXPECT_NEAR(full, ref.Distance(p, q, len), 1e-12) << "p=" << p;
-    EXPECT_EQ(dist.Distance(p, q, len, full + 1e-6), full) << "p=" << p;
+    EXPECT_EQ(PairDistance(dist, p, q, len, full + 1e-6), full) << "p=" << p;
     if (full > 0.0) {
-      EXPECT_EQ(dist.Distance(p, q, len, full * 0.9),
+      EXPECT_EQ(PairDistance(dist, p, q, len, full * 0.9),
                 SubsequenceDistance::kInfinity)
           << "p=" << p;
     }
@@ -255,7 +256,7 @@ TEST(BlockedDistanceTest, ZNormEuclideanAgreesWithOracleOnShortLengths) {
       const size_t q = p + 50;
       const std::span<const double> a(series.data() + p, len);
       const std::span<const double> b(series.data() + q, len);
-      EXPECT_NEAR(dist.Distance(p, q, len), ZNormEuclideanDistance(a, b),
+      EXPECT_NEAR(PairDistance(dist, p, q, len), ZNormEuclideanDistance(a, b),
                   1e-9)
           << "len=" << len << " p=" << p;
     }
@@ -263,32 +264,42 @@ TEST(BlockedDistanceTest, ZNormEuclideanAgreesWithOracleOnShortLengths) {
 }
 
 TEST(BlockedDistanceTest, CountsExactlyOneCallPerInvocationUnderConcurrency) {
-  // Both kernel paths (fast and abandoning) add exactly one relaxed
-  // increment per invocation; a shared oracle must not lose any.
+  // Both kernel paths (fast and abandoning) add exactly one count per
+  // invocation to the calling scan's tally, split by outcome; per-thread
+  // scans over a shared oracle must not lose any.
   const std::vector<double> series = MakeSine(600, 40.0, 0.1, 9);
-  SubsequenceDistance dist(series, kDefaultZNormEpsilon,
-                           backend::ScalarBackend());
+  const SubsequenceDistance dist(series, kDefaultZNormEpsilon,
+                                 backend::ScalarBackend());
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 3000;
+  std::vector<CallTally> tallies(kThreads);
+  std::vector<uint64_t> infinities(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&dist, t] {
+    threads.emplace_back([&, t] {
+      DistanceScan scan(dist);
       for (int i = 0; i < kCallsPerThread; ++i) {
         const auto p = static_cast<size_t>((t * 11 + i) % 500);
         const auto q = static_cast<size_t>((i * 17) % 500);
-        if (i % 2 == 0) {
-          (void)dist.Distance(p, q, 60);
-        } else {
-          (void)dist.Distance(p, q, 60, 0.25);
+        scan.SetQuery(p, 60, dist.StatsOf(p, 60));
+        const double limit =
+            i % 2 == 0 ? SubsequenceDistance::kInfinity : 0.25;
+        if (scan.Distance(q, dist.StatsOf(q, 60), limit) ==
+            SubsequenceDistance::kInfinity) {
+          ++infinities[static_cast<size_t>(t)];
         }
       }
+      tallies[static_cast<size_t>(t)] = scan.tally();
     });
   }
   for (std::thread& t : threads) {
     t.join();
   }
-  EXPECT_EQ(dist.calls(),
-            static_cast<uint64_t>(kThreads) * kCallsPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    const CallTally& tally = tallies[static_cast<size_t>(t)];
+    EXPECT_EQ(tally.calls(), static_cast<uint64_t>(kCallsPerThread));
+    EXPECT_EQ(tally.abandoned, infinities[static_cast<size_t>(t)]);
+  }
 }
 
 }  // namespace

@@ -114,6 +114,7 @@ BestCandidate ExhaustiveBestOverCandidates(
     const std::vector<RuleInterval>& candidates, bool normalize_by_length,
     double znorm_epsilon) {
   const SubsequenceDistance dist(series, znorm_epsilon);
+  DistanceScan scan(dist);
   const size_t m = series.size();
   BestCandidate best;
   for (const RuleInterval& cand : candidates) {
@@ -123,12 +124,13 @@ BestCandidate ExhaustiveBestOverCandidates(
         normalize_by_length ? static_cast<double>(len) : 1.0;
     double nn = SubsequenceDistance::kInfinity;
     size_t nn_q = 0;
+    scan.SetQuery(p, len, dist.StatsOf(p, len));
     for (size_t q = 0; q + len <= m; ++q) {
       const size_t gap = p > q ? p - q : q - p;
       if (gap < len) {
         continue;  // self match, same rule as the search
       }
-      const double d = dist.Distance(p, q, len) / norm;
+      const double d = scan.Distance(q, dist.StatsOf(q, len)) / norm;
       if (d < nn) {
         nn = d;
         nn_q = q;
@@ -215,6 +217,9 @@ TEST_P(DifferentialTest, RraApproximateModeNeverExceedsExhaustive) {
   const double norm = options.normalize_by_length
                           ? static_cast<double>(top.length)
                           : 1.0;
+  DistanceScan scan(dist);
+  scan.SetQuery(top.position, top.length,
+                dist.StatsOf(top.position, top.length));
   double truth = SubsequenceDistance::kInfinity;
   for (size_t q = 0; q + top.length <= data.series.size(); ++q) {
     const size_t gap =
@@ -222,7 +227,8 @@ TEST_P(DifferentialTest, RraApproximateModeNeverExceedsExhaustive) {
     if (gap < top.length) {
       continue;
     }
-    truth = std::min(truth, dist.Distance(top.position, q, top.length) / norm);
+    truth = std::min(
+        truth, scan.Distance(q, dist.StatsOf(q, top.length)) / norm);
   }
   EXPECT_GE(top.distance, truth);
 }

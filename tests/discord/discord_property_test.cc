@@ -73,13 +73,15 @@ TEST_P(RraExactnessTest, ReportedDistanceIsTrueNearestNeighbor) {
   const DiscordRecord& d = rra->result.discords[0];
 
   SubsequenceDistance dist(data.series);
+  DistanceScan scan(dist);
+  scan.SetQuery(d.position, d.length, dist.StatsOf(d.position, d.length));
   double nn = SubsequenceDistance::kInfinity;
   for (size_t q = 0; q + d.length <= data.series.size(); ++q) {
     const size_t gap = q > d.position ? q - d.position : d.position - q;
     if (gap < d.length) {
       continue;
     }
-    nn = std::min(nn, dist.Distance(d.position, q, d.length, nn));
+    nn = std::min(nn, scan.Distance(q, dist.StatsOf(q, d.length), nn));
   }
   EXPECT_NEAR(d.distance, nn / static_cast<double>(d.length), 1e-9);
 }
@@ -101,14 +103,16 @@ TEST(RraDominanceTest, NoCandidateBeatsTheReportedDiscord) {
   const DiscordRecord& best = rra->result.discords[0];
 
   SubsequenceDistance dist(data.series);
+  DistanceScan scan(dist);
   auto exact_nn = [&](size_t p, size_t len) {
+    scan.SetQuery(p, len, dist.StatsOf(p, len));
     double nn = SubsequenceDistance::kInfinity;
     for (size_t q = 0; q + len <= data.series.size(); ++q) {
       const size_t gap = q > p ? q - p : p - q;
       if (gap < len) {
         continue;
       }
-      nn = std::min(nn, dist.Distance(p, q, len, nn));
+      nn = std::min(nn, scan.Distance(q, dist.StatsOf(q, len), nn));
     }
     return nn / static_cast<double>(len);
   };

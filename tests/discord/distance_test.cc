@@ -9,7 +9,7 @@
 
 #include "backend/backend.h"
 #include "datasets/simple.h"
-#include "obs/metrics.h"
+#include "discord/distance_test_util.h"
 #include "timeseries/znorm.h"
 #include "util/rng.h"
 
@@ -37,7 +37,7 @@ TEST(SubsequenceDistanceTest, MatchesNaiveZnormDistance) {
     const size_t len = 5 + rng.UniformInt(60);
     const size_t p = rng.UniformInt(series.size() - len + 1);
     const size_t q = rng.UniformInt(series.size() - len + 1);
-    const double fast = dist.Distance(p, q, len);
+    const double fast = PairDistance(dist, p, q, len);
     const double naive = ZNormEuclideanDistance(
         std::span<const double>(series).subspan(p, len),
         std::span<const double>(series).subspan(q, len));
@@ -48,30 +48,35 @@ TEST(SubsequenceDistanceTest, MatchesNaiveZnormDistance) {
 TEST(SubsequenceDistanceTest, ZeroForIdenticalPositions) {
   std::vector<double> series = MakeSine(100, 20.0, 0.0, 3);
   SubsequenceDistance dist(series);
-  EXPECT_NEAR(dist.Distance(10, 10, 30), 0.0, 1e-9);
+  EXPECT_NEAR(PairDistance(dist, 10, 10, 30), 0.0, 1e-9);
 }
 
 TEST(SubsequenceDistanceTest, CountsEveryCall) {
   std::vector<double> series = MakeSine(100, 20.0, 0.1, 4);
   SubsequenceDistance dist(series);
-  EXPECT_EQ(dist.calls(), 0u);
-  (void)dist.Distance(0, 50, 20);
-  (void)dist.Distance(1, 40, 20, 0.001);  // abandoned, still counted
-  EXPECT_EQ(dist.calls(), 2u);
-  dist.ResetCalls();
-  EXPECT_EQ(dist.calls(), 0u);
+  DistanceScan scan(dist);
+  EXPECT_EQ(scan.tally().calls(), 0u);
+  scan.SetQuery(0, 20, dist.StatsOf(0, 20));
+  (void)scan.Distance(50, dist.StatsOf(50, 20));
+  scan.SetQuery(1, 20, dist.StatsOf(1, 20));
+  (void)scan.Distance(40, dist.StatsOf(40, 20), 0.001);  // abandoned, counted
+  EXPECT_EQ(scan.tally().calls(), 2u);
+  EXPECT_EQ(scan.tally().completed, 1u);
+  EXPECT_EQ(scan.tally().abandoned, 1u);
+  // A fresh scan starts from zero; the oracle itself keeps no count.
+  EXPECT_EQ(DistanceScan(dist).tally().calls(), 0u);
 }
 
 TEST(SubsequenceDistanceTest, EarlyAbandonReturnsInfinity) {
   std::vector<double> series = MakeSine(200, 10.0, 0.2, 5);
   SubsequenceDistance dist(series);
-  const double full = dist.Distance(0, 100, 50);
+  const double full = PairDistance(dist, 0, 100, 50);
   ASSERT_GT(full, 0.0);
   // A limit below the true distance must abandon.
-  EXPECT_EQ(dist.Distance(0, 100, 50, full * 0.5),
+  EXPECT_EQ(PairDistance(dist, 0, 100, 50, full * 0.5),
             SubsequenceDistance::kInfinity);
   // A limit above the true distance must return the exact value.
-  EXPECT_NEAR(dist.Distance(0, 100, 50, full * 1.5), full, 1e-12);
+  EXPECT_NEAR(PairDistance(dist, 0, 100, 50, full * 1.5), full, 1e-12);
 }
 
 TEST(SubsequenceDistanceTest, AbandonThresholdIsTight) {
@@ -81,11 +86,11 @@ TEST(SubsequenceDistanceTest, AbandonThresholdIsTight) {
   // for the scalar accumulation order that produced this exact s.
   SubsequenceDistance dist(series, kDefaultZNormEpsilon,
                            backend::ScalarBackend());
-  const double full = dist.Distance(3, 120, 40);
+  const double full = PairDistance(dist, 3, 120, 40);
   // Limit exactly equal to the distance: the running sum reaches the limit
   // only at the very end; equality abandons (>=), which is safe because a
   // caller never needs a distance equal to its current nearest neighbor.
-  EXPECT_EQ(dist.Distance(3, 120, 40, full),
+  EXPECT_EQ(PairDistance(dist, 3, 120, 40, full),
             SubsequenceDistance::kInfinity);
 }
 
@@ -96,7 +101,7 @@ TEST(SubsequenceDistanceTest, FlatWindowsUseCenteringOnly) {
   }
   SubsequenceDistance dist(series);
   // Both windows are flat; centered they are identical.
-  EXPECT_NEAR(dist.Distance(0, 55, 20), 0.0, 1e-12);
+  EXPECT_NEAR(PairDistance(dist, 0, 55, 20), 0.0, 1e-12);
 }
 
 TEST(SubsequenceDistanceTest, SymmetricInArguments) {
@@ -107,7 +112,8 @@ TEST(SubsequenceDistanceTest, SymmetricInArguments) {
     const size_t len = 10 + rng.UniformInt(40);
     const size_t p = rng.UniformInt(series.size() - len + 1);
     const size_t q = rng.UniformInt(series.size() - len + 1);
-    EXPECT_NEAR(dist.Distance(p, q, len), dist.Distance(q, p, len), 1e-9);
+    EXPECT_NEAR(PairDistance(dist, p, q, len), PairDistance(dist, q, p, len),
+                1e-9);
   }
 }
 
@@ -139,7 +145,7 @@ TEST(SubsequenceDistanceTest, FlatWindowsMatchZNormEuclideanDistance) {
       {170, 215}, // oscillating vs oscillating
   };
   for (const auto& [p, q] : pairs) {
-    const double fast = dist.Distance(p, q, len);
+    const double fast = PairDistance(dist, p, q, len);
     const double naive = ZNormEuclideanDistance(
         std::span<const double>(series).subspan(p, len),
         std::span<const double>(series).subspan(q, len));
@@ -162,8 +168,8 @@ TEST(SubsequenceDistanceTest, FlatWindowEpsilonIsConfigurable) {
   }
   SubsequenceDistance centered(series);          // default epsilon = 0.01
   SubsequenceDistance normalized(series, 1e-9);  // everything z-normalized
-  const double d_centered = centered.Distance(0, 120, 60);
-  const double d_normalized = normalized.Distance(0, 120, 60);
+  const double d_centered = PairDistance(centered, 0, 120, 60);
+  const double d_normalized = PairDistance(normalized, 0, 120, 60);
   EXPECT_GT(std::abs(d_centered - d_normalized), 1e-3);
 }
 
@@ -178,9 +184,9 @@ TEST(SubsequenceDistanceTest, AbandonsExactlyWhenTrueDistanceReachesLimit) {
     const size_t len = 8 + rng.UniformInt(50);
     const size_t p = rng.UniformInt(series.size() - len + 1);
     const size_t q = rng.UniformInt(series.size() - len + 1);
-    const double truth = dist.Distance(p, q, len);
+    const double truth = PairDistance(dist, p, q, len);
     const double limit = truth * (0.25 + 1.5 * rng.UniformDouble()) + 1e-9;
-    const double limited = dist.Distance(p, q, len, limit);
+    const double limited = PairDistance(dist, p, q, len, limit);
     if (truth >= limit) {
       EXPECT_EQ(limited, SubsequenceDistance::kInfinity)
           << "p=" << p << " q=" << q << " len=" << len;
@@ -191,76 +197,77 @@ TEST(SubsequenceDistanceTest, AbandonsExactlyWhenTrueDistanceReachesLimit) {
 }
 
 TEST(SubsequenceDistanceTest, CallCountIsExactUnderConcurrentUse) {
-  // The relaxed atomic counter must not lose increments when one oracle is
-  // shared by many threads — the invariant behind the paper's Table 1
+  // Threads share one oracle, each scanning through its own DistanceScan,
+  // the way the parallel searches' chunks do: the oracle is read-only, so
+  // tsan must stay quiet, and the per-thread tallies summed after the join
+  // must account for every call — the invariant behind the paper's Table 1
   // accounting in the parallel searches.
   std::vector<double> series = MakeSine(500, 40.0, 0.1, 5);
-  SubsequenceDistance dist(series);
+  const SubsequenceDistance dist(series);
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 2000;
+  std::vector<CallTally> tallies(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&dist, t] {
+    threads.emplace_back([&dist, &tallies, t] {
+      DistanceScan scan(dist);
       for (int i = 0; i < kCallsPerThread; ++i) {
-        (void)dist.Distance(static_cast<size_t>((t * 7 + i) % 400),
-                            static_cast<size_t>((i * 13) % 400), 50, 1.0);
+        const auto p = static_cast<size_t>((t * 7 + i) % 400);
+        const auto q = static_cast<size_t>((i * 13) % 400);
+        scan.SetQuery(p, 50, dist.StatsOf(p, 50));
+        (void)scan.Distance(q, dist.StatsOf(q, 50), 1.0);
       }
+      tallies[static_cast<size_t>(t)] = scan.tally();
     });
   }
   for (std::thread& t : threads) {
     t.join();
   }
-  EXPECT_EQ(dist.calls(),
+  CallTally total;
+  for (const CallTally& tally : tallies) {
+    total += tally;
+  }
+  EXPECT_EQ(total.calls(),
             static_cast<uint64_t>(kThreads) * kCallsPerThread);
+  EXPECT_EQ(total.completed + total.abandoned, total.calls());
 }
 
-TEST(SubsequenceDistanceTest, HistogramAttachIsRaceFreeUnderConcurrentUse) {
-  // Regression test: the histogram slot used to be a plain pointer, so
-  // attaching while other threads were inside Distance() was a data race
-  // (unsynchronized read/write of the same pointer). The slot is now a
-  // relaxed atomic; this test attaches and detaches continuously while
-  // worker threads hammer Distance(), and tsan must stay quiet. Counts
-  // recorded are inherently approximate mid-flight, so afterwards a quiet
-  // attach verifies the histogram still sees every completed call.
-  std::vector<double> series = MakeSine(500, 40.0, 0.1, 8);
-  SubsequenceDistance dist(series);
-  obs::Histogram histogram;
+TEST(SubsequenceDistanceTest, StatsTableMatchesPerWindowStats) {
+  // The fixed-length searches read window statistics from a table built
+  // once; every entry must be the bits StatsOf computes for that window,
+  // flat windows (inv_std == 1.0) included.
+  std::vector<double> series = MakeRandomWalk(300, 1.0, 19);
+  for (size_t i = 120; i < 180; ++i) {
+    series[i] = 2.0;
+  }
+  const SubsequenceDistance dist(series);
+  const std::vector<WindowStats> table = dist.StatsOfAllWindows(40);
+  ASSERT_EQ(table.size(), series.size() - 40 + 1);
+  for (size_t p = 0; p < table.size(); ++p) {
+    const WindowStats want = dist.StatsOf(p, 40);
+    EXPECT_EQ(table[p].mean, want.mean) << "p=" << p;
+    EXPECT_EQ(table[p].inv_std, want.inv_std) << "p=" << p;
+  }
+  EXPECT_EQ(table[130].inv_std, 1.0);
+}
 
-  constexpr int kThreads = 4;
-  constexpr int kCallsPerThread = 2000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&dist, t] {
-      for (int i = 0; i < kCallsPerThread; ++i) {
-        (void)dist.Distance(static_cast<size_t>((t * 11 + i) % 400),
-                            static_cast<size_t>((i * 17) % 400), 50);
-      }
-    });
+TEST(SubsequenceDistanceTest, ReusedScanMatchesFreshScanAcrossLengths) {
+  // RRA reuses one scan for queries of different lengths; a query set
+  // after a longer or shorter one must give the bits a fresh scan gives.
+  std::vector<double> series = MakeSine(600, 37.0, 0.1, 27);
+  const SubsequenceDistance dist(series);
+  DistanceScan reused(dist);
+  Rng rng(5);
+  for (int trial = 0; trial < 100; ++trial) {
+    const size_t len = 2 + rng.UniformInt(150);
+    const size_t p = rng.UniformInt(series.size() - len + 1);
+    const size_t q = rng.UniformInt(series.size() - len + 1);
+    reused.SetQuery(p, len, dist.StatsOf(p, len));
+    EXPECT_EQ(reused.Distance(q, dist.StatsOf(q, len)),
+              PairDistance(dist, p, q, len))
+        << "p=" << p << " q=" << q << " len=" << len;
   }
-  // Toggle the slot while the workers run. The histogram outlives the
-  // workers (stack order), satisfying the documented lifetime rule.
-  for (int toggle = 0; toggle < 500; ++toggle) {
-    dist.AttachDistanceHistogram(toggle % 2 == 0 ? &histogram : nullptr);
-  }
-  dist.AttachDistanceHistogram(nullptr);
-  for (std::thread& t : workers) {
-    t.join();
-  }
-
-  // With no concurrent toggling, every completed call must be recorded
-  // (when observability is compiled in; otherwise Record() is a no-op).
-  dist.ResetCalls();
-  histogram.Reset();
-  dist.AttachDistanceHistogram(&histogram);
-  for (int i = 0; i < 100; ++i) {
-    (void)dist.Distance(static_cast<size_t>(i % 300),
-                        static_cast<size_t>((i * 3) % 300), 60);
-  }
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(histogram.count(), dist.calls_completed());
-    EXPECT_EQ(histogram.count(), 100u);
-  }
-  dist.AttachDistanceHistogram(nullptr);
+  EXPECT_EQ(reused.tally().calls(), 100u);
 }
 
 TEST(SubsequenceDistanceTest, TriangleInequalityHolds) {
@@ -272,9 +279,9 @@ TEST(SubsequenceDistanceTest, TriangleInequalityHolds) {
     const size_t a = rng.UniformInt(series.size() - len + 1);
     const size_t b = rng.UniformInt(series.size() - len + 1);
     const size_t c = rng.UniformInt(series.size() - len + 1);
-    const double ab = dist.Distance(a, b, len);
-    const double bc = dist.Distance(b, c, len);
-    const double ac = dist.Distance(a, c, len);
+    const double ab = PairDistance(dist, a, b, len);
+    const double bc = PairDistance(dist, b, c, len);
+    const double ac = PairDistance(dist, a, c, len);
     EXPECT_LE(ac, ab + bc + 1e-9);
   }
 }

@@ -1,10 +1,14 @@
 #include "discord/hotsax.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include <gtest/gtest.h>
 
 #include "datasets/ecg.h"
 #include "datasets/simple.h"
 #include "discord/brute_force.h"
+#include "discord/distance.h"
 #include "timeseries/sliding_window.h"
 
 namespace gva {
@@ -123,6 +127,58 @@ TEST(HotSaxTest, RejectsBadArguments) {
   zero_k.top_k = 0;
   std::vector<double> longer(100, 0.0);
   EXPECT_FALSE(FindDiscordsHotSax(longer, zero_k).ok());
+}
+
+TEST(HotSaxTest, MeasuresDistancesWithTheOptionsEpsilon) {
+  // Regression: HOTSAX discretized with sax.znorm_epsilon but measured
+  // distances with the default epsilon, so at epsilon 0.5 it reported
+  // 12.77 for a pair whose distance under that epsilon is 2.78. The
+  // reported distance must be the pair's distance under the option.
+  EcgOptions ecg;
+  ecg.num_beats = 40;
+  ecg.anomalous_beats = {20};
+  ecg.seed = 5;
+  const LabeledSeries data = MakeEcg(ecg);
+  HotSaxOptions options = Opts(120, 4, 4);
+  options.sax.znorm_epsilon = 0.5;
+  auto hot = FindDiscordsHotSax(data.series, options);
+  ASSERT_TRUE(hot.ok()) << hot.status();
+  ASSERT_EQ(hot->discords.size(), 1u);
+  const DiscordRecord& top = hot->discords[0];
+  const std::span<const double> series = data.series.values();
+  const double want = ZNormEuclideanDistance(
+      series.subspan(top.position, 120), series.subspan(top.nn_position, 120),
+      0.5);
+  EXPECT_NEAR(top.distance, want, 1e-9 * std::max(1.0, want));
+}
+
+TEST(HotSaxTest, SetCancelTokenReturnsCancelled) {
+  LabeledSeries data = MakeSineWithAnomaly(1500, 50.0, 0.05, 700, 50, 4);
+  HotSaxOptions options = Opts(50, 4, 4, 2);
+  auto plain = FindDiscordsHotSax(data.series, options);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+
+  std::atomic<bool> cancel{true};
+  options.cancel = &cancel;
+  for (size_t threads : {1u, 4u}) {
+    options.num_threads = threads;
+    auto cancelled = FindDiscordsHotSax(data.series, options);
+    ASSERT_FALSE(cancelled.ok()) << "threads=" << threads;
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+        << "threads=" << threads;
+  }
+
+  // A token that stays clear changes nothing.
+  cancel.store(false);
+  options.num_threads = 1;
+  auto clear = FindDiscordsHotSax(data.series, options);
+  ASSERT_TRUE(clear.ok()) << clear.status();
+  ASSERT_EQ(clear->discords.size(), plain->discords.size());
+  for (size_t i = 0; i < plain->discords.size(); ++i) {
+    EXPECT_EQ(clear->discords[i].position, plain->discords[i].position);
+    EXPECT_EQ(clear->discords[i].distance, plain->discords[i].distance);
+  }
+  EXPECT_EQ(clear->distance_calls, plain->distance_calls);
 }
 
 }  // namespace

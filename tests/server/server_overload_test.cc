@@ -2,6 +2,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/job_runner.h"
+#include "datasets/simple.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "server/server_test_client.h"
@@ -275,6 +277,32 @@ TEST(ServerOverloadTest, StopCancelsRunningJobs) {
   EXPECT_LT(std::chrono::steady_clock::now(), deadline)
       << "Stop() waited for the full search instead of cancelling it";
   EXPECT_EQ(server->runner().jobs_cancelled(), 1u);
+}
+
+// A hotsax job hands the job's token to the search, which polls it between
+// outer candidates: cancelled 20 ms in, RunDetectionJob returns Cancelled
+// long before the full search over this white-noise series (about a
+// minute in a release build) could have finished.
+TEST(ServerOverloadTest, HotSaxJobStopsMidSearchWhenCancelled) {
+  const std::vector<double> series = MakeNoise(50000, 1.0, 3);
+  JobSpec spec;
+  spec.detector = JobDetector::kHotSax;
+  spec.window = 200;
+  spec.paa = 4;
+  spec.alphabet = 4;
+  std::atomic<bool> cancel{false};
+  std::thread canceller([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cancel.store(true, std::memory_order_relaxed);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const StatusOr<JobOutcome> outcome = RunDetectionJob(spec, series, &cancel);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  canceller.join();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(elapsed, std::chrono::seconds(10))
+      << "the hotsax search ran on after its job was cancelled";
 }
 
 // Stream sessions are capped: the max_streams+1'th create is answered 429
