@@ -7,6 +7,7 @@
 // stand-in datasets and prints the same rows/series the paper reports,
 // plus CHECK lines asserting the qualitative shape the paper claims.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "obs/recorder.h"
 #include "obs/session.h"
 #include "obs/telemetry_server.h"
+#include "util/csv.h"
 #include "viz/svg.h"
 
 namespace gva::bench {
@@ -61,15 +63,16 @@ inline void MaybeWriteFigure(const SvgFigure& figure,
 ///   --trace=PATH     write a Chrome trace-event JSON capture
 ///   --metrics=PATH   write a metrics-registry JSON snapshot
 ///   --quiet          suppress informational chatter (announcements)
-///   --backend=NAME   force the kernel backend (scalar|avx2|neon|auto);
+///   --backend=NAME   force the kernel backend (scalar|avx2|auto);
 ///                    applied immediately, exits 2 on unknown/unavailable
 ///                    names so a bench never silently measures the wrong
 ///                    kernel
 ///   --telemetry-port=N  serve /metrics, /metrics.json, /healthz and
 ///                    /flightz on 127.0.0.1:N for the run's lifetime
 ///                    (0 = ephemeral port, printed on startup); applied
-///                    immediately, exits 2 when the port cannot be bound
-///                    so a scrape target never silently goes missing.
+///                    immediately, exits 2 when N is not a port number or
+///                    the port cannot be bound, so a scrape target never
+///                    silently goes missing.
 ///                    Also installs the fatal-signal flight dump.
 struct ObsFlags {
   std::string trace_path;
@@ -102,10 +105,15 @@ inline bool ParseObsFlag(const std::string& arg, ObsFlags* flags) {
     return true;
   }
   if (arg.rfind("--telemetry-port=", 0) == 0) {
+    const StatusOr<uint64_t> port = ParseUnsigned(arg.substr(17), 65535);
+    if (!port.ok()) {
+      std::fprintf(stderr, "--telemetry-port: %s\n",
+                   port.status().ToString().c_str());
+      std::exit(2);
+    }
     obs::InstallFlightSignalHandler();
     obs::TelemetryServer::Options options;
-    options.port = static_cast<uint16_t>(
-        std::strtoul(arg.substr(17).c_str(), nullptr, 10));
+    options.port = static_cast<uint16_t>(*port);
     const Status status = obs::StartGlobalTelemetry(options);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());

@@ -15,9 +15,11 @@
 // `ensemble` labels to assert exactness and cache accounting, not speed.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -30,6 +32,7 @@
 #include "datasets/simple.h"
 #include "ensemble/ensemble.h"
 #include "obs/metrics.h"
+#include "util/csv.h"
 #include "util/strings.h"
 
 namespace gva {
@@ -274,7 +277,14 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
       out_set = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      num_threads = std::strtoul(argv[++i], nullptr, 10);
+      const gva::StatusOr<uint64_t> parsed = gva::ParseUnsigned(
+          argv[++i], std::numeric_limits<size_t>::max());
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "--threads: %s\n",
+                     parsed.status().ToString().c_str());
+        return 2;
+      }
+      num_threads = static_cast<size_t>(*parsed);
     } else {
       std::printf(
           "usage: ensemble_bench [--smoke] [--out PATH] [--threads N] "

@@ -1,14 +1,12 @@
-// Hot-path kernel benchmark: incremental prefix-sum SAX discretization and
-// the blocked-abandon distance kernel, each measured against an inline
-// reimplementation of the pre-overhaul kernel (naive per-window
-// z-normalize + PAA; scalar per-element-abandon distance loop), plus a
-// per-backend matrix — one row per available kernel backend (scalar /
-// AVX2 / NEON, see src/backend/) per distance case, with the scalar
-// backend as the baseline column (SAX makes no dispatched call, so it has
-// no matrix rows). Exactness is CHECKed on every configuration before any
-// timing — byte-identical SAX records, matching distances and abandon
-// decisions, and cross-backend agreement (bitwise where the backend
-// advertises bit_exact_distance, within rounding tolerance otherwise) —
+// Hot-path kernel benchmark: the SAX block kernel (Discretize) measured
+// against an inline reimplementation of the pre-overhaul discretization
+// (naive per-window z-normalize + PAA), and the distance kernel the
+// library ships in a per-backend matrix — one row per available kernel
+// backend (scalar / AVX2, see src/backend/) per distance case, with the
+// scalar backend as the baseline column (SAX makes no dispatched call, so
+// it has no matrix rows). Exactness is CHECKed on every configuration
+// before any timing — byte-identical SAX records, and every backend's
+// distances and abandon decisions bitwise equal to the scalar backend's —
 // and the timings are emitted as machine-readable JSON (default
 // BENCH_kernels.json) so later PRs have a perf trajectory to compare
 // against.
@@ -20,7 +18,6 @@
 // assert exactness, not speed, so the binary cannot bit-rot.
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -80,60 +77,6 @@ SaxRecords NaiveDiscretize(std::span<const double> series,
   }
   return records;
 }
-
-/// The old SubsequenceDistance::Distance: scalar loop, per-element abandon.
-class ScalarReferenceDistance {
- public:
-  explicit ScalarReferenceDistance(std::span<const double> series,
-                                   double epsilon = kDefaultZNormEpsilon)
-      : series_(series), epsilon_(epsilon) {
-    prefix_.resize(series.size() + 1);
-    prefix_sq_.resize(series.size() + 1);
-    prefix_[0] = 0.0;
-    prefix_sq_[0] = 0.0;
-    for (size_t i = 0; i < series.size(); ++i) {
-      prefix_[i + 1] = prefix_[i] + series[i];
-      prefix_sq_[i + 1] = prefix_sq_[i] + series[i] * series[i];
-    }
-  }
-
-  double Distance(size_t p, size_t q, size_t length,
-                  double limit = SubsequenceDistance::kInfinity) const {
-    const auto [mean_p, inv_p] = StatsOf(p, length);
-    const auto [mean_q, inv_q] = StatsOf(q, length);
-    const double limit_sq =
-        limit == SubsequenceDistance::kInfinity ? limit : limit * limit;
-    double sum_sq = 0.0;
-    for (size_t i = 0; i < length; ++i) {
-      const double va = (series_[p + i] - mean_p) * inv_p;
-      const double vb = (series_[q + i] - mean_q) * inv_q;
-      const double d = va - vb;
-      sum_sq += d * d;
-      if (sum_sq >= limit_sq) {
-        return SubsequenceDistance::kInfinity;
-      }
-    }
-    return std::sqrt(sum_sq);
-  }
-
- private:
-  std::pair<double, double> StatsOf(size_t pos, size_t length) const {
-    const double n = static_cast<double>(length);
-    const double mean = (prefix_[pos + length] - prefix_[pos]) / n;
-    double variance =
-        (prefix_sq_[pos + length] - prefix_sq_[pos]) / n - mean * mean;
-    if (variance < 0.0) {
-      variance = 0.0;
-    }
-    const double sd = std::sqrt(variance);
-    return {mean, sd < epsilon_ ? 1.0 : 1.0 / sd};
-  }
-
-  std::span<const double> series_;
-  double epsilon_;
-  std::vector<double> prefix_;
-  std::vector<double> prefix_sq_;
-};
 
 // ---------------------------------------------------------------------------
 // Timing helpers.
@@ -296,82 +239,15 @@ KernelRow BenchDiscretize(const std::string& name,
   return row;
 }
 
-KernelRow BenchDistance(const std::string& name,
-                        std::span<const double> series, size_t length,
-                        size_t calls, bool abandoning, int reps) {
-  // Pinned to the scalar backend: this row tracks "blocked kernel vs
-  // pre-overhaul per-element kernel" across PRs, so its arithmetic (and
-  // the bitwise abandon-decision CHECK below) must not drift with the
-  // host's SIMD. The per-backend matrix rows measure dispatch.
-  SubsequenceDistance dist(series, kDefaultZNormEpsilon,
-                           backend::ScalarBackend());
-  const std::vector<WindowStats> stats = dist.StatsOfAllWindows(length);
-  ScalarReferenceDistance ref(series);
-
-  // Pair list shared by both kernels; limits chosen from the true distance
-  // so the abandoning variant abandons roughly half the calls.
-  Rng rng(12345);
-  PairList pairs = MakeScanPairs(rng, series.size(), length, calls);
-  if (abandoning) {
-    for (size_t i = 0; i < calls; ++i) {
-      const double truth = ref.Distance(pairs.ps[i], pairs.qs[i], length);
-      pairs.limits[i] = truth * (0.5 + rng.UniformDouble());
-    }
-  }
-
-  // Exactness: identical values, identical abandon decisions.
-  std::vector<double> got(calls);
-  (void)ScanPairs(dist, stats, pairs, length, &got);
-  bool exact = true;
-  for (size_t i = 0; i < calls; ++i) {
-    const double a = got[i];
-    const double b =
-        ref.Distance(pairs.ps[i], pairs.qs[i], length, pairs.limits[i]);
-    if (a == SubsequenceDistance::kInfinity ||
-        b == SubsequenceDistance::kInfinity) {
-      exact = exact && (a == b);
-    } else {
-      exact = exact && std::abs(a - b) <= 1e-9;
-    }
-  }
-  bench::Check(exact, name + ": blocked kernel matches scalar reference (" +
-                          std::string(abandoning ? "abandoning" : "full") +
-                          ")");
-
-  KernelRow row;
-  row.name = "distance/" + name;
-  row.detail = StrFormat("len=%zu calls=%zu %s", length, calls,
-                         abandoning ? "abandoning" : "full");
-  row.units = static_cast<double>(calls) * static_cast<double>(length);
-  double sink = 0.0;
-  row.baseline_s = BestOf(reps, [&] {
-    for (size_t i = 0; i < calls; ++i) {
-      const double d =
-          ref.Distance(pairs.ps[i], pairs.qs[i], length, pairs.limits[i]);
-      if (d != SubsequenceDistance::kInfinity) {
-        sink += d;
-      }
-    }
-  });
-  row.kernel_s = BestOf(reps, [&] {
-    sink += ScanPairs(dist, stats, pairs, length);
-  });
-  if (sink == 1e300) {  // never true; defeats dead-code elimination
-    std::abort();
-  }
-  return row;
-}
-
 // ---------------------------------------------------------------------------
 // Per-backend matrix (src/backend/ dispatch layer).
 
 /// One row per available backend for a distance case. The scalar backend
 /// is the baseline column of every row, so a row's speedup reads "this
 /// backend vs scalar on identical work". Before any timing, every backend
-/// is CHECKed against scalar over the full pair list: identical abandon
-/// decisions, and completed distances bitwise equal when the backend
-/// advertises bit_exact_distance, else within 1e-9 relative tolerance
-/// (the documented SIMD summation-order exception, DESIGN.md §11).
+/// is CHECKed against scalar over the full pair list: every backend builds
+/// the one distance kernel (DESIGN.md §11), so each call's result —
+/// distance or abandon — must be the same bits.
 void BenchDistanceBackends(const std::string& name,
                            std::span<const double> series, size_t length,
                            size_t calls, bool abandoning, int reps,
@@ -382,21 +258,15 @@ void BenchDistanceBackends(const std::string& name,
                                   backend::ScalarBackend());
   const std::vector<WindowStats> stats = scalar_dist.StatsOfAllWindows(length);
 
-  // Abandon limits are sampled away from a narrow band around the true
-  // distance: a limit within rounding noise of the distance would make the
-  // abandon decision legitimately backend-dependent, which is exactly the
-  // boundary the equality CHECK must not sit on.
+  // Abandoning cases draw each limit from [0.5, 1.5) times the distance,
+  // so about half the calls abandon.
   Rng rng(777);
   PairList pairs = MakeScanPairs(rng, series.size(), length, calls);
   if (abandoning) {
     std::vector<double> truth(calls);
     (void)ScanPairs(scalar_dist, stats, pairs, length, &truth);
     for (size_t i = 0; i < calls; ++i) {
-      double factor = 0.5 + 1.0 * rng.UniformDouble();
-      if (factor > 0.999 && factor < 1.001) {
-        factor = 1.01;
-      }
-      pairs.limits[i] = truth[i] * factor;
+      pairs.limits[i] = truth[i] * (0.5 + 1.0 * rng.UniformDouble());
     }
   }
 
@@ -409,22 +279,11 @@ void BenchDistanceBackends(const std::string& name,
     SubsequenceDistance dist(series, kDefaultZNormEpsilon, b);
     std::vector<double> got(calls);
     (void)ScanPairs(dist, stats, pairs, length, &got);
-    bool agree = true;
-    for (size_t i = 0; i < calls; ++i) {
-      if (got[i] == SubsequenceDistance::kInfinity ||
-          want[i] == SubsequenceDistance::kInfinity) {
-        agree = agree && (got[i] == want[i]);
-      } else if (b->bit_exact_distance) {
-        agree = agree && (got[i] == want[i]);
-      } else {
-        agree = agree &&
-                std::abs(got[i] - want[i]) <= 1e-9 * std::max(1.0, want[i]);
-      }
-    }
-    bench::Check(agree, "distance/" + name + "[" + b->name +
-                            "]: matches scalar backend (" +
-                            std::string(abandoning ? "abandoning" : "full") +
-                            ")");
+    bench::Check(std::memcmp(got.data(), want.data(),
+                             calls * sizeof(double)) == 0,
+                 "distance/" + name + "[" + b->name +
+                     "]: bitwise equal to scalar backend (" +
+                     std::string(abandoning ? "abandoning" : "full") + ")");
   }
 
   const std::string detail =
@@ -519,10 +378,9 @@ int Run(bool smoke, const std::string& out_path) {
   }
   std::printf("available backends: %s\n", backend_names.c_str());
 
-  // The legacy rows (no [backend] suffix) track "current kernel vs
-  // pre-overhaul naive reimplementation" under the scalar backend, so
-  // their numbers and bitwise CHECKs stay comparable across PRs and
-  // hosts. The matrix rows switch backends explicitly.
+  // The obs-overhead row times its distance loop under the scalar backend,
+  // so its ratio stays comparable across PRs and hosts. The discretize rows
+  // make no dispatched call, and the matrix rows pick backends explicitly.
   if (!backend::SetActiveBackend("scalar").ok()) {
     std::abort();
   }
@@ -539,12 +397,10 @@ int Run(bool smoke, const std::string& out_path) {
     ragged.window = 37;  // non-divisible geometry
     ragged.paa_size = 5;
     rows.push_back(BenchDiscretize("sine_3k_ragged", sine, ragged, 1));
-    rows.push_back(BenchDistance("sine_3k", sine, 64, 2000, false, 1));
-    rows.push_back(BenchDistance("sine_3k", sine, 64, 2000, true, 1));
 
     // Backend matrix on the smoke cases: cheap, and it keeps the
     // cross-backend equality CHECKs inside the default ctest run on every
-    // host (including non-x86 ones, where only scalar/neon exist).
+    // host (on non-x86 ones only scalar exists).
     BenchDistanceBackends("sine_3k", sine, 64, 2000, false, 1, &rows);
     BenchDistanceBackends("sine_3k", sine, 64, 2000, true, 1, &rows);
 
@@ -595,11 +451,6 @@ int Run(bool smoke, const std::string& out_path) {
     ecg_sax.alphabet_size = 4;
     rows.push_back(
         BenchDiscretize("ecg", ecg.series, ecg_sax, kDiscretizeRounds));
-
-    rows.push_back(BenchDistance("sine_100k", sine, 180, 20000, false, 3));
-    rows.push_back(BenchDistance("sine_100k", sine, 180, 20000, true, 3));
-    rows.push_back(BenchDistance("sine_100k_long", sine, 1024, 5000, false, 3));
-    rows.push_back(BenchDistance("ecg", ecg.series, 120, 20000, false, 3));
 
     BenchDistanceBackends("sine_100k", sine, 180, 20000, false, 3, &rows);
     BenchDistanceBackends("sine_100k", sine, 180, 20000, true, 3, &rows);
@@ -670,19 +521,18 @@ int Run(bool smoke, const std::string& out_path) {
     }
     json += "],\n";
     json +=
-        "  \"note\": \"rows without a [backend] suffix: baseline = "
-        "pre-overhaul kernels (naive per-window z-norm+PAA discretization; "
-        "scalar per-element-abandon distance), reimplemented in-binary; "
-        "kernel = the SAX block kernel (Discretize) / blocked-abandon "
-        "distance under the scalar backend, called the way the searches "
-        "call it (a DistanceScan normalizes each query once per run of "
-        "100 calls; window statistics come from a table built once, "
-        "outside the timing); discretize rows are the best "
-        "of 15 rounds alternating the two sides, distance rows the best of "
-        "3 per side. rows with a [backend] suffix: "
+        "  \"note\": \"discretize rows: baseline = the pre-overhaul naive "
+        "per-window z-norm+PAA discretization, reimplemented in-binary; "
+        "kernel = the SAX block kernel (Discretize); the best of 15 rounds "
+        "alternating the two sides. distance rows (one per [backend]): "
         "baseline = the scalar backend, kernel = that backend, on identical "
-        "work (the dispatch matrix, DESIGN.md \\u00a711). items = series "
-        "points (discretize) or accumulated elements (distance).\",\n";
+        "work (the dispatch matrix, DESIGN.md \\u00a711), called the way "
+        "the searches call it (a DistanceScan normalizes each query once "
+        "per run of 100 calls; window statistics come from a table built "
+        "once, outside the timing); the best of 3 per side. obs row: "
+        "baseline = obs-disabled counter, kernel = obs-enabled counter. "
+        "items = series points (discretize) or accumulated elements "
+        "(distance).\",\n";
     json += "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       json += JsonRow(rows[i]);

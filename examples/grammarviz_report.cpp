@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/motif.h"
@@ -16,8 +17,28 @@
 #include "datasets/video.h"
 #include "grammar/grammar_printer.h"
 #include "timeseries/io.h"
+#include "util/csv.h"
 #include "viz/ascii_plot.h"
 #include "viz/report.h"
+
+namespace {
+
+/// Positional argument `i` as an unsigned integer, or `fallback` when it is
+/// absent. A malformed value exits 2.
+size_t SizeArg(int argc, char** argv, int i, size_t fallback) {
+  if (argc <= i) {
+    return fallback;
+  }
+  const gva::StatusOr<uint64_t> parsed =
+      gva::ParseUnsigned(argv[i], std::numeric_limits<size_t>::max());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    std::exit(2);
+  }
+  return static_cast<size_t>(*parsed);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace gva;
@@ -25,6 +46,9 @@ int main(int argc, char** argv) {
   TimeSeries series;
   SaxOptions sax;
   if (argc > 1) {
+    sax.window = SizeArg(argc, argv, 2, 150);
+    sax.paa_size = SizeArg(argc, argv, 3, 5);
+    sax.alphabet_size = SizeArg(argc, argv, 4, 4);
     StatusOr<TimeSeries> loaded = ReadTimeSeriesCsv(argv[1]);
     if (!loaded.ok()) {
       std::fprintf(stderr, "cannot load %s: %s\n", argv[1],
@@ -32,9 +56,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     series = std::move(loaded).value();
-    sax.window = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 150;
-    sax.paa_size = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 5;
-    sax.alphabet_size = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 4;
   } else {
     VideoOptions options;
     options.num_cycles = 26;

@@ -14,7 +14,8 @@
 // number; the first one that does not fails the run (exit 1) with its
 // 1-based index.
 //
-// Common options (--flag value and --flag=value are both accepted):
+// Common options (--flag value and --flag=value are both accepted; a
+// numeric value that does not parse — N takes digits only — exits 2):
 //   --column N      CSV column to read (default 0)
 //   --window N      sliding window  (default: suggested from the data)
 //   --paa N         PAA segments    (default: suggested)
@@ -55,15 +56,16 @@
 //                   lines and the metrics summary); result tables only
 //
 // Kernel dispatch (see DESIGN.md §11):
-//   --backend NAME  force the kernel backend (scalar|avx2|neon|auto);
-//                   default is the GVA_BACKEND environment variable, then
+//   --backend NAME  force the kernel backend (scalar|avx2|auto); default
+//                   is the GVA_BACKEND environment variable, then
 //                   auto-selection (fastest available). Search results are
-//                   backend-independent up to floating-point rounding.
+//                   the same bits under every backend.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -93,21 +95,68 @@ struct Args {
   std::string command;
   std::string csv_path;
   std::map<std::string, std::string> options;
+  /// The numeric flags given, parsed once by ParseArgs.
+  std::map<std::string, uint64_t> sizes;
+  std::map<std::string, double> doubles;
   bool has_flag(const std::string& name) const {
     return options.count(name) > 0;
   }
   size_t get_size(const std::string& name, size_t fallback) const {
-    auto it = options.find(name);
-    return it == options.end()
-               ? fallback
-               : std::strtoul(it->second.c_str(), nullptr, 10);
+    auto it = sizes.find(name);
+    return it == sizes.end() ? fallback : static_cast<size_t>(it->second);
   }
   double get_double(const std::string& name, double fallback) const {
-    auto it = options.find(name);
-    return it == options.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    auto it = doubles.find(name);
+    return it == doubles.end() ? fallback : it->second;
   }
 };
+
+/// The unsigned flags and the largest value each accepts; --threshold is
+/// the one floating-point flag.
+const std::map<std::string, uint64_t>& UnsignedFlags() {
+  constexpr uint64_t kSizeMax = std::numeric_limits<size_t>::max();
+  static const std::map<std::string, uint64_t> kFlags = {
+      {"column", kSizeMax},       {"window", kSizeMax},
+      {"paa", kSizeMax},          {"alphabet", kSizeMax},
+      {"top", kSizeMax},          {"threads", kSizeMax},
+      {"horizon", kSizeMax},      {"report-every", kSizeMax},
+      {"telemetry-port", 65535},
+  };
+  return kFlags;
+}
+
+/// Stores a parsed flag value in `out`, or prints why it did not parse and
+/// returns false.
+template <typename T>
+bool StoreParsed(const std::string& flag, const StatusOr<T>& parsed,
+                 std::map<std::string, T>* out) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "--%s: %s\n", flag.c_str(),
+                 parsed.status().ToString().c_str());
+    return false;
+  }
+  (*out)[flag] = *parsed;
+  return true;
+}
+
+/// Parses every numeric flag given, so a malformed value is a usage error
+/// before any work starts.
+bool ParseNumericFlags(Args* args) {
+  for (const auto& [flag, value] : args->options) {
+    const auto bound = UnsignedFlags().find(flag);
+    if (bound != UnsignedFlags().end()) {
+      if (!StoreParsed(flag, ParseUnsigned(value, bound->second),
+                       &args->sizes)) {
+        return false;
+      }
+    } else if (flag == "threshold") {
+      if (!StoreParsed(flag, ParseDouble(value), &args->doubles)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 int Usage() {
   std::fprintf(stderr,
@@ -117,7 +166,7 @@ int Usage() {
                "--threshold F --approx --threads N --csv-out PATH "
                "--ensemble --grid SPEC "
                "--horizon N --report-every N "
-               "--backend scalar|avx2|neon|auto "
+               "--backend scalar|avx2|auto "
                "--trace PATH --metrics PATH --telemetry-port N --quiet]\n");
   return 2;
 }
@@ -154,7 +203,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  return true;
+  return ParseNumericFlags(args);
 }
 
 /// Resolves the input argument: "demo:<name>" builds one of the synthetic
@@ -294,12 +343,12 @@ bool ParseGridSpec(const std::string& spec, const SaxOptions& fallback,
     if (current == nullptr) {
       return false;
     }
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || value == 0) {
+    const StatusOr<uint64_t> value =
+        ParseUnsigned(token, std::numeric_limits<size_t>::max());
+    if (!value.ok() || *value == 0) {
       return false;
     }
-    current->push_back(static_cast<size_t>(value));
+    current->push_back(static_cast<size_t>(*value));
   }
   if (windows.empty()) {
     windows.push_back(fallback.window);

@@ -54,16 +54,9 @@ std::atomic<const KernelBackend*>& ActiveSlot() {
 const KernelBackend* Avx2Backend() { return nullptr; }
 #endif
 
-#if !defined(GVA_BACKEND_NEON)
-const KernelBackend* NeonBackend() { return nullptr; }
-#endif
-
 std::vector<const KernelBackend*> AvailableBackends() {
   std::vector<const KernelBackend*> backends;
   if (const KernelBackend* b = Avx2Backend()) {
-    backends.push_back(b);
-  }
-  if (const KernelBackend* b = NeonBackend()) {
     backends.push_back(b);
   }
   backends.push_back(ScalarBackend());

@@ -10,36 +10,27 @@
 namespace gva::backend {
 
 /// Elements per abandon-check block of the z-normalized distance kernel.
-/// Every backend — scalar or SIMD — checks the abandon limit at exactly
-/// this granularity, so the set of abandoned calls is backend-independent
-/// wherever the accumulated sums agree (see DESIGN.md §11 for the one
-/// tolerance-bounded exception). SubsequenceDistance::kBlock aliases this.
+/// Every backend builds the one kernel in distance_kernel.h, which checks
+/// the abandon limit at exactly this granularity and sums in one fixed
+/// order, so values and abandon decisions are the same bits on every
+/// backend (DESIGN.md §11). SubsequenceDistance::kBlock aliases this.
 inline constexpr size_t kDistanceBlock = 16;
 
 /// Stable identifiers exported through the `backend.selected` gauge.
 /// Gauge value 0 means "no backend selected yet", so ids start at 1.
-enum class BackendId : int { kScalar = 1, kAvx2 = 2, kNeon = 3 };
+enum class BackendId : int { kScalar = 1, kAvx2 = 2 };
 
-/// A table of kernel implementations plus capability metadata — the
-/// ggml-style seam between the algorithm layer (the discord searches'
-/// distance oracle) and hardware-specific code. All raw SIMD intrinsics in
-/// the tree live behind this table, under src/backend/ (enforced by the
-/// `simd-intrinsics` lint rule). A future GPU/OpenCL backend is one more
-/// table (plus staging buffers), not a rewrite of the call sites.
+/// A table of kernel implementations — the ggml-style seam between the
+/// algorithm layer (the discord searches' distance oracle) and
+/// ISA-specific builds. All ISA-specific code in the tree lives behind
+/// this table, under src/backend/ (enforced by the `simd-intrinsics` lint
+/// rule). A future GPU/OpenCL backend is one more table (plus staging
+/// buffers), not a rewrite of the call sites.
 struct KernelBackend {
-  /// Stable lowercase name ("scalar", "avx2", "neon") — the vocabulary of
+  /// Stable lowercase name ("scalar", "avx2") — the vocabulary of
   /// GVA_BACKEND / --backend and of kernel_bench row suffixes.
   const char* name;
   BackendId id;
-  /// Doubles processed per SIMD lane-group (1 for scalar, 4 for AVX2,
-  /// 2 for NEON). Diagnostic only.
-  size_t lanes;
-  /// True when znorm_distance_block reproduces the scalar backend's strict
-  /// left-to-right summation order bit-for-bit. The SIMD backends fold
-  /// lane-parallel partial sums instead — the one documented exception to
-  /// the repo's bit-exactness contract (DESIGN.md §11); their results are
-  /// tolerance-tested against scalar.
-  bool bit_exact_distance;
 
   /// Fused squared-Euclidean pass between a query that is already
   /// z-normalized, za[0..length), and a window b[0..length) normalized on
@@ -51,36 +42,33 @@ struct KernelBackend {
   /// here would. Passing limit_sq == +infinity disables the checks
   /// (full-length path). Returns true when the scan completed — *sum_sq
   /// then holds the squared distance — and false when the running sum
-  /// reached limit_sq (early abandon; *sum_sq untouched). Within one
-  /// backend the full-length and abandoning paths use the same
-  /// accumulation structure, so a non-abandoned limited call returns the
-  /// same bits as the unlimited call.
+  /// reached limit_sq (early abandon; *sum_sq untouched). The summation
+  /// order is fixed by distance_kernel.h and is the same on every backend,
+  /// so every backend returns the same bits, and a non-abandoned limited
+  /// call returns the same bits as the unlimited call.
   bool (*znorm_distance_block)(const double* za, const double* b,
                                size_t length, double mean_b, double inv_b,
                                double limit_sq, double* sum_sq);
 };
 
-/// The portable reference backend. Always available; its summation order is
-/// the contract every test oracle pins.
+/// The distance kernel built at the baseline ISA (SSE2 on x86-64, NEON on
+/// aarch64). Always available.
 const KernelBackend* ScalarBackend();
 
-/// The AVX2+FMA backend. Null when the binary was built without AVX2
-/// support or the CPU lacks avx2/fma.
+/// The distance kernel built with AVX2. Null when the compiler cannot
+/// target AVX2 or the CPU lacks it.
 const KernelBackend* Avx2Backend();
-
-/// The NEON backend. Null off aarch64.
-const KernelBackend* NeonBackend();
 
 /// Available backends in auto-selection preference order (fastest first,
 /// scalar always last). Never empty.
 std::vector<const KernelBackend*> AvailableBackends();
 
-/// Resolves "scalar" / "avx2" / "neon" / "auto" to a backend. Returns null
+/// Resolves "scalar" / "avx2" / "auto" to a backend. Returns null
 /// for unknown names and for backends this host cannot run.
 const KernelBackend* FindBackend(std::string_view name);
 
 /// The process-wide active backend used by default-constructed oracles.
-/// Resolved once on first use: GVA_BACKEND=scalar|avx2|neon|auto when set
+/// Resolved once on first use: GVA_BACKEND=scalar|avx2|auto when set
 /// (an unknown or unavailable value aborts loudly — a forced backend
 /// silently falling back would invalidate a benchmark), otherwise "auto".
 /// Selection records the backend's id in the `backend.selected` gauge.

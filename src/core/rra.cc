@@ -127,14 +127,10 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
                      const std::vector<char>& excluded, bool normalize,
                      bool exact_nn, size_t refine_delta,
                      const std::atomic<bool>* cancel, ThreadPool& pool,
-                     NnCache& cache, obs::BestSoFarLog& trajectory,
-                     SearchTally* tally, DiscordRecord* best) {
+                     NnCache& cache, SearchTally* tally, DiscordRecord* best) {
   GVA_OBS_SPAN("search.rra.round");
   const std::vector<RuleInterval>& candidates = *state.candidates;
   const size_t m = dist.series_length();
-  // A chunk stamps its trajectory samples with the calls of earlier rounds
-  // plus its own; with one thread that is the search's exact call count.
-  const uint64_t calls_before = tally->calls.calls();
 
   SharedBestDistance shared_best;
 
@@ -287,9 +283,7 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
         updates.push_back(CacheUpdate{ci, nn, nn_q});
         if (nn != SubsequenceDistance::kInfinity) {
           local.Consider(BestCandidate{nn, p, len, nn_q, cand.rule, true});
-          if (shared_best.RaiseTo(nn)) {
-            trajectory.Record(calls_before + scan.tally().calls(), nn);
-          }
+          shared_best.RaiseTo(nn);
         }
       } else {
         ++local_tally.pruned;
@@ -353,7 +347,6 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
   cache.exact.assign(candidates.size(), 0);
   cache.nn_pos.assign(candidates.size(), 0);
 
-  obs::BestSoFarLog trajectory;
   SearchTally tally;
   for (size_t k = 0; k < options.top_k; ++k) {
     DiscordRecord best;
@@ -364,7 +357,7 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
     const bool found = FindBestDiscord(
         dist, state, excluded, options.normalize_by_length,
         options.exact_nearest_neighbor, refine_delta, options.cancel, pool,
-        cache, trajectory, &tally, &best);
+        cache, &tally, &best);
     // A cancelled round may have skipped candidates, so whatever it
     // reported is not trustworthy: the whole search fails as Cancelled.
     if (options.cancel != nullptr &&
@@ -383,7 +376,6 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
     }
   }
   tally.WriteTo(&result);
-  result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "rra", obs::GlobalMetrics());
   return result;
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "timeseries/interval.h"
 
 namespace gva {
@@ -37,11 +36,11 @@ struct DiscordRecord {
 /// its decomposition.
 ///
 /// Determinism: discords and candidates_visited are bit-identical for every
-/// thread count. The call split, candidates_pruned, and the trajectory
-/// depend on where cross-thread pruning cut each losing scan, so for the
-/// shared-best searches (HOTSAX, RRA) they are reproducible only at
-/// num_threads == 1; brute force abandons against per-candidate state only,
-/// so there every field is thread-count-invariant.
+/// thread count. The call split and candidates_pruned depend on where
+/// cross-thread pruning cut each losing scan, so for the shared-best
+/// searches (HOTSAX, RRA) they are reproducible only at num_threads == 1;
+/// brute force abandons against per-candidate state only, so there every
+/// field is thread-count-invariant.
 struct DiscordResult {
   std::vector<DiscordRecord> discords;
   /// Total distance-function calls (completed + abandoned).
@@ -56,9 +55,6 @@ struct DiscordResult {
   /// fell below the best-so-far discord (the outer-loop pruning of HOTSAX /
   /// RRA; always 0 for brute force).
   uint64_t candidates_pruned = 0;
-  /// Best-so-far improvements in call-count order: the search's
-  /// convergence trajectory.
-  std::vector<obs::BestSoFarSample> best_trajectory;
 };
 
 /// Folds a finished search's accounting into `registry` under

@@ -20,11 +20,10 @@ double EuclideanDistance(std::span<const double> a, std::span<const double> b);
 /// Euclidean distance between the z-normalized forms of `a` and `b`. The
 /// arithmetic — mean, standard deviation, flat-window centering,
 /// per-element normalize-subtract-square — is the ZNormalize +
-/// EuclideanDistance composition, dispatched through the active kernel
-/// backend: bit-identical to that composition under the scalar backend,
-/// within rounding tolerance under the SIMD backends (the documented
-/// summation-order exception, DESIGN.md §11). Convenience wrapper used by
-/// tests and diagnostics; the searches scan through DistanceScan.
+/// EuclideanDistance composition, summed in the distance kernel's order
+/// (DESIGN.md §11): the same bits under every backend, within rounding of
+/// the composition's left-to-right sum. Convenience wrapper used by tests
+/// and diagnostics; the searches scan through DistanceScan.
 double ZNormEuclideanDistance(std::span<const double> a,
                               std::span<const double> b,
                               double epsilon = kDefaultZNormEpsilon);
@@ -66,15 +65,14 @@ struct CallTally {
 ///
 /// Kernel structure (see DESIGN.md §5c and §11): the fused pass runs
 /// through a backend::KernelBackend table selected at construction
-/// (defaulting to the process-wide active backend — scalar, AVX2, or NEON).
-/// Every backend checks the abandon limit once per kBlock elements plus
-/// once after the tail; squared terms are non-negative and the running sum
-/// is monotone, so block-granular checking abandons exactly the calls a
-/// per-element check of the same sums would. For a fixed backend, results
-/// — values and abandon decisions both — are bit-reproducible across runs,
-/// thread counts, and limited-vs-unlimited paths. Across backends,
-/// completed distances agree bitwise when the backend advertises
-/// bit_exact_distance and within rounding tolerance otherwise.
+/// (defaulting to the process-wide active backend — scalar or AVX2). Every
+/// backend builds the one kernel of backend/distance_kernel.h, which checks
+/// the abandon limit once per kBlock elements plus once after the tail;
+/// squared terms are non-negative and the running sum is monotone, so
+/// block-granular checking abandons exactly the calls a per-element check
+/// of the same sums would. Its summation order is fixed, so results —
+/// values and abandon decisions both — are the same bits across runs,
+/// thread counts, limited-vs-unlimited paths and backends.
 ///
 /// Thread safety: immutable after construction, so any number of threads
 /// may scan one oracle at once, each through its own DistanceScan.
@@ -87,10 +85,8 @@ class SubsequenceDistance {
   /// at most kBlock - 1 elements of extra work versus a per-element check.
   static constexpr size_t kBlock = backend::kDistanceBlock;
 
-  /// `kernel_backend` selects the kernel implementation; null means the
-  /// process-wide backend::ActiveBackend() (GVA_BACKEND / --backend). Tests
-  /// asserting bitwise agreement with a scalar reference pin
-  /// backend::ScalarBackend() explicitly.
+  /// `kernel_backend` selects the kernel build; null means the
+  /// process-wide backend::ActiveBackend() (GVA_BACKEND / --backend).
   explicit SubsequenceDistance(
       std::span<const double> series,
       double znorm_epsilon = kDefaultZNormEpsilon,
@@ -116,7 +112,7 @@ class SubsequenceDistance {
 
 /// One thread's nearest-neighbor scans over a shared oracle. SetQuery
 /// z-normalizes the candidate window once — (x - mean) * inv_std, the
-/// expression the kernels apply to the other window — so each Distance()
+/// expression the kernel applies to the other window — so each Distance()
 /// call pays only for the backend kernel and one increment of this scan's
 /// own tally. Not thread-safe: each chunk of a parallel search owns one.
 class DistanceScan {

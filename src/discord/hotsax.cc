@@ -34,12 +34,8 @@ bool FindBestDiscord(const SubsequenceDistance& dist,
                      const std::vector<size_t>& inner_random,
                      const std::vector<char>& excluded,
                      const std::atomic<bool>* cancel, ThreadPool& pool,
-                     obs::BestSoFarLog& trajectory, SearchTally* tally,
-                     DiscordRecord* best) {
+                     SearchTally* tally, DiscordRecord* best) {
   GVA_OBS_SPAN("search.hotsax.round");
-  // A chunk stamps its trajectory samples with the calls of earlier rounds
-  // plus its own; with one thread that is the search's exact call count.
-  const uint64_t calls_before = tally->calls.calls();
   SharedBestDistance shared_best;
   std::vector<BestCandidate> chunk_best(pool.num_threads());
   std::vector<SearchTally> chunk_tally(pool.num_threads());
@@ -105,9 +101,7 @@ bool FindBestDiscord(const SubsequenceDistance& dist,
         ++local_tally.pruned;
       } else if (nn != SubsequenceDistance::kInfinity) {
         local.Consider(BestCandidate{nn, p, window, nn_q, -2, true});
-        if (shared_best.RaiseTo(nn)) {
-          trajectory.Record(calls_before + scan.tally().calls(), nn);
-        }
+        shared_best.RaiseTo(nn);
       }
     }
     local_tally.calls = scan.tally();
@@ -201,13 +195,12 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   ThreadPool pool(options.num_threads);
 
   DiscordResult result;
-  obs::BestSoFarLog trajectory;
   SearchTally tally;
   for (size_t k = 0; k < options.top_k; ++k) {
     DiscordRecord best;
     const bool found = FindBestDiscord(
         dist, stats, window, outer_order, buckets, word_id, inner_random,
-        excluded, options.cancel, pool, trajectory, &tally, &best);
+        excluded, options.cancel, pool, &tally, &best);
     // A cancelled round may have skipped candidates, so whatever it
     // reported is not trustworthy: the whole search fails as Cancelled.
     if (options.cancel != nullptr &&
@@ -226,7 +219,6 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
     }
   }
   tally.WriteTo(&result);
-  result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "hotsax", obs::GlobalMetrics());
   return result;
 }

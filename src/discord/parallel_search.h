@@ -50,18 +50,15 @@ class SharedBestDistance {
 
   double load() const { return value_.load(std::memory_order_relaxed); }
 
-  /// Atomically raises the shared value to `candidate` if larger. Returns
-  /// whether this call stored a new maximum — the searches sample their
-  /// best-so-far trajectory (obs::BestSoFarLog) exactly on those raises.
-  bool RaiseTo(double candidate) {
+  /// Atomically raises the shared value to `candidate` if larger.
+  void RaiseTo(double candidate) {
     double current = value_.load(std::memory_order_relaxed);
     while (candidate > current) {
       if (value_.compare_exchange_weak(current, candidate,
                                        std::memory_order_relaxed)) {
-        return true;
+        return;
       }
     }
-    return false;
   }
 
  private:

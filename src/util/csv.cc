@@ -1,8 +1,11 @@
 #include "util/csv.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <system_error>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -26,6 +29,29 @@ StatusOr<double> ParseDouble(std::string_view field) {
   if (!std::isfinite(value)) {
     return Status::InvalidArgument("non-finite numeric field: '" + buffer +
                                    "'");
+  }
+  return value;
+}
+
+StatusOr<uint64_t> ParseUnsigned(std::string_view text, uint64_t max) {
+  const auto invalid = [&](std::string_view why) {
+    std::string message = "'";
+    message.append(text).append("' ").append(why);
+    return Status::InvalidArgument(std::move(message));
+  };
+  uint64_t value = 0;
+  // from_chars takes no sign, whitespace or base prefix for an unsigned
+  // type, and reports overflow instead of wrapping.
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc::result_out_of_range) {
+    return invalid("is out of range");
+  }
+  if (error != std::errc() || end != text.data() + text.size()) {
+    return invalid("is not an unsigned integer");
+  }
+  if (value > max) {
+    return invalid("is above " + std::to_string(max));
   }
   return value;
 }

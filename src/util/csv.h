@@ -1,6 +1,7 @@
 #ifndef GVA_UTIL_CSV_H_
 #define GVA_UTIL_CSV_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,12 @@ Status WriteCsvColumns(const std::string& path,
 
 /// Parses one numeric field; empty input, nan and +-inf are invalid.
 StatusOr<double> ParseDouble(std::string_view field);
+
+/// Parses `text` as a decimal integer in [0, max]: digits only. An empty
+/// string, a sign, whitespace, trailing text, overflow and values above
+/// `max` are InvalidArgument — the one parser for numeric command-line
+/// flags, so "--threads abc" fails instead of meaning 0.
+StatusOr<uint64_t> ParseUnsigned(std::string_view text, uint64_t max);
 
 }  // namespace gva
 

@@ -1,19 +1,17 @@
 // Backend differential suite: every backend this host can run, validated
-// against the portable scalar backend — the kernel level (randomized
-// lengths 2..1024 with non-lane-multiple tails, flat windows, abandon and
-// no-abandon limits), the discretization level (byte-identical SAX
-// records), and the search level (brute force / HOTSAX / RRA return the
-// same discords under GVA_BACKEND=scalar and auto, at 1 and 4 threads).
+// against the scalar backend — the kernel level (randomized lengths
+// 2..1024 with ragged tails, flat windows, abandon and no-abandon limits,
+// limits exactly at the distance), the discretization level
+// (byte-identical SAX records), and the search level (brute force / HOTSAX
+// / RRA return the same discords under GVA_BACKEND=scalar and auto, at 1
+// and 4 threads).
 //
-// Agreement contract (DESIGN.md §11): abandon decisions are identical for
-// limits away from the rounding boundary; completed distances are bitwise
-// equal when the backend advertises bit_exact_distance and within 1e-9
-// relative tolerance otherwise (the SIMD summation-order exception); and
-// lengths below one abandon block never enter a vector loop, so they are
-// bitwise equal on every backend. On hosts with no SIMD backend the suite
+// Agreement contract (DESIGN.md §11): every backend builds the one distance
+// kernel and sums in its one order, so distances are the same bits and
+// every abandon decision is the same — no tolerance, not even for a limit
+// that ties the distance. On hosts with no AVX2 backend the suite
 // degenerates to scalar-vs-scalar and passes trivially.
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -65,19 +63,6 @@ std::vector<double> MakeMixedSeries(size_t n, uint64_t seed) {
   return series;
 }
 
-void ExpectDistanceAgreement(const KernelBackend* b, double got, double want,
-                             size_t length, const std::string& where) {
-  if (got == SubsequenceDistance::kInfinity ||
-      want == SubsequenceDistance::kInfinity) {
-    EXPECT_EQ(got, want) << b->name << " abandon decision diverged " << where;
-  } else if (b->bit_exact_distance || length < SubsequenceDistance::kBlock) {
-    EXPECT_EQ(got, want) << b->name << " not bit-exact " << where;
-  } else {
-    EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, want))
-        << b->name << " outside tolerance " << where;
-  }
-}
-
 TEST(BackendDifferentialTest, RandomizedLengthsAgainstScalar) {
   const std::vector<double> series = MakeMixedSeries(4096, 99);
   SubsequenceDistance scalar_dist(series, kDefaultZNormEpsilon,
@@ -94,19 +79,17 @@ TEST(BackendDifferentialTest, RandomizedLengthsAgainstScalar) {
     const double truth = PairDistance(scalar_dist, p, q, length);
 
     // Limits: no limit, a clearly-losing limit (abandons), a clearly-
-    // winning limit (completes). Factors keep the limit away from the
-    // rounding boundary at the true distance.
+    // winning limit (completes), and the distance itself, where the
+    // decision turns on the last bit of the sum.
     const double limits[] = {SubsequenceDistance::kInfinity,
-                             truth * 0.6 + 1e-6, truth * 1.7 + 1e-6};
+                             truth * 0.6 + 1e-6, truth * 1.7 + 1e-6, truth};
     for (const KernelBackend* b : AvailableBackends()) {
       SubsequenceDistance dist(series, kDefaultZNormEpsilon, b);
       for (const double limit : limits) {
-        const double got = PairDistance(dist, p, q, length, limit);
-        const double want = PairDistance(scalar_dist, p, q, length, limit);
-        ExpectDistanceAgreement(
-            b, got, want, length,
-            "p=" + std::to_string(p) + " q=" + std::to_string(q) +
-                " len=" + std::to_string(length));
+        EXPECT_EQ(PairDistance(dist, p, q, length, limit),
+                  PairDistance(scalar_dist, p, q, length, limit))
+            << b->name << " p=" << p << " q=" << q << " len=" << length
+            << " limit=" << limit;
       }
     }
   }
@@ -209,9 +192,11 @@ void ExpectSameDiscords(const DiscordResult& scalar_result,
     EXPECT_EQ(auto_result.discords[k].length,
               scalar_result.discords[k].length)
         << "rank " << k;
-    EXPECT_NEAR(auto_result.discords[k].distance,
-                scalar_result.discords[k].distance,
-                1e-9 * std::max(1.0, scalar_result.discords[k].distance))
+    EXPECT_EQ(auto_result.discords[k].distance,
+              scalar_result.discords[k].distance)
+        << "rank " << k;
+    EXPECT_EQ(auto_result.discords[k].nn_position,
+              scalar_result.discords[k].nn_position)
         << "rank " << k;
   }
 }

@@ -20,8 +20,6 @@ TEST(BackendRegistryTest, ScalarIsAlwaysAvailable) {
   ASSERT_NE(scalar, nullptr);
   EXPECT_STREQ(scalar->name, "scalar");
   EXPECT_EQ(scalar->id, BackendId::kScalar);
-  EXPECT_EQ(scalar->lanes, 1u);
-  EXPECT_TRUE(scalar->bit_exact_distance);
   EXPECT_NE(scalar->znorm_distance_block, nullptr);
 }
 
@@ -33,19 +31,12 @@ TEST(BackendRegistryTest, AvailableBackendsEndsWithScalarAndIsComplete) {
   for (const KernelBackend* b : backends) {
     EXPECT_NE(b->name, nullptr);
     EXPECT_NE(b->znorm_distance_block, nullptr);
-    EXPECT_GE(b->lanes, 1u);
   }
-  // SIMD backends that the registry hands out must also be findable by
-  // name, and vice versa.
+  // A backend that the registry hands out must also be findable by name,
+  // and vice versa.
   if (const KernelBackend* avx2 = Avx2Backend()) {
     EXPECT_EQ(FindBackend("avx2"), avx2);
-    EXPECT_FALSE(avx2->bit_exact_distance);
-    EXPECT_EQ(avx2->lanes, 4u);
-  }
-  if (const KernelBackend* neon = NeonBackend()) {
-    EXPECT_EQ(FindBackend("neon"), neon);
-    EXPECT_FALSE(neon->bit_exact_distance);
-    EXPECT_EQ(neon->lanes, 2u);
+    EXPECT_EQ(avx2->id, BackendId::kAvx2);
   }
 }
 
@@ -54,6 +45,8 @@ TEST(BackendRegistryTest, FindBackendResolvesNamesAndAuto) {
   // auto = first entry of the preference-ordered list (fastest available).
   EXPECT_EQ(FindBackend("auto"), AvailableBackends().front());
   EXPECT_EQ(FindBackend("opencl"), nullptr);
+  // On aarch64 the scalar backend is the NEON build; there is no "neon".
+  EXPECT_EQ(FindBackend("neon"), nullptr);
   EXPECT_EQ(FindBackend(""), nullptr);
 }
 

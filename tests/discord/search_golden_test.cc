@@ -1,20 +1,22 @@
 // Golden pins of whole discord-search results. Every field of the
 // DiscordResult that HOTSAX, RRA~, RRAx and brute force return — each
 // discord's position, length, distance bits, neighbor and rule, the call
-// split, the visited/pruned counts, and the single-thread best-so-far
-// trajectory — is folded into one FNV-1a fingerprint per (generator,
-// search), on small instances of the Table-1 generators. Any change to the
-// distance kernel, the window statistics, the visit orders or the call
-// accounting that moves one bit of a result shows here.
+// split, and the visited/pruned counts — is folded into one FNV-1a
+// fingerprint per (generator, search), on small instances of the Table-1
+// generators. Any change to the distance kernel, the window statistics,
+// the visit orders or the call accounting that moves one bit of a result
+// shows here.
 //
-// The searches run under the scalar backend, whose summation order is the
-// bit-exactness contract; the fixture selects it and restores the previous
-// backend afterwards.
+// Every backend builds the same distance kernel and sums in the same order
+// (DESIGN.md §11), so each search runs under every available backend and
+// must match the one set of fingerprints on each. The fixture restores the
+// previously active backend afterwards.
 
 #include <bit>
 #include <cstdio>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,11 +57,6 @@ uint64_t ResultFingerprint(const DiscordResult& r) {
   hash = Fnv1a(hash, r.distance_calls_abandoned);
   hash = Fnv1a(hash, r.candidates_visited);
   hash = Fnv1a(hash, r.candidates_pruned);
-  hash = Fnv1a(hash, r.best_trajectory.size());
-  for (const obs::BestSoFarSample& s : r.best_trajectory) {
-    hash = Fnv1a(hash, s.at_call);
-    hash = Fnv1a(hash, std::bit_cast<uint64_t>(s.distance));
-  }
   return hash;
 }
 
@@ -69,8 +66,7 @@ std::string Describe(const DiscordResult& r) {
                     " completed=" + std::to_string(r.distance_calls_completed) +
                     " abandoned=" + std::to_string(r.distance_calls_abandoned) +
                     " visited=" + std::to_string(r.candidates_visited) +
-                    " pruned=" + std::to_string(r.candidates_pruned) +
-                    " trajectory=" + std::to_string(r.best_trajectory.size());
+                    " pruned=" + std::to_string(r.candidates_pruned);
   for (const DiscordRecord& d : r.discords) {
     char line[96];
     std::snprintf(line, sizeof(line), " [%zu+%zu %.17g nn=%zu]", d.position,
@@ -127,10 +123,7 @@ LabeledSeries Respiration43() {
 
 class SearchGoldenTest : public ::testing::TestWithParam<GoldenCase> {
  protected:
-  void SetUp() override {
-    previous_ = backend::ActiveBackend().name;
-    ASSERT_TRUE(backend::SetActiveBackend("scalar").ok());
-  }
+  void SetUp() override { previous_ = backend::ActiveBackend().name; }
   void TearDown() override {
     ASSERT_TRUE(backend::SetActiveBackend(previous_).ok());
   }
@@ -141,15 +134,10 @@ class SearchGoldenTest : public ::testing::TestWithParam<GoldenCase> {
 
 constexpr size_t kTopK = 3;
 
-TEST_P(SearchGoldenTest, WholeResultIsPinned) {
-  const GoldenCase& c = GetParam();
-  const LabeledSeries data = c.make();
-  const std::span<const double> series = data.series.values();
-  SaxOptions sax;
-  sax.window = c.window;
-  sax.paa_size = c.paa;
-  sax.alphabet_size = c.alphabet;
-
+/// Runs the four searches of `c` under the active backend and checks each
+/// result against its pin.
+void ExpectPinnedResults(const GoldenCase& c, std::span<const double> series,
+                         const SaxOptions& sax) {
   HotSaxOptions hot_options;
   hot_options.sax = sax;
   hot_options.top_k = kTopK;
@@ -181,21 +169,37 @@ TEST_P(SearchGoldenTest, WholeResultIsPinned) {
       << ResultFingerprint(*brute) << std::dec << " " << Describe(*brute);
 }
 
+TEST_P(SearchGoldenTest, WholeResultIsPinned) {
+  const GoldenCase& c = GetParam();
+  const LabeledSeries data = c.make();
+  const std::span<const double> series = data.series.values();
+  SaxOptions sax;
+  sax.window = c.window;
+  sax.paa_size = c.paa;
+  sax.alphabet_size = c.alphabet;
+
+  for (const backend::KernelBackend* b : backend::AvailableBackends()) {
+    SCOPED_TRACE(b->name);
+    ASSERT_TRUE(backend::SetActiveBackend(b->name).ok());
+    ExpectPinnedResults(c, series, sax);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Table1Generators, SearchGoldenTest,
     ::testing::Values(
-        GoldenCase{"ecg0606", &Ecg0606, 120, 4, 4, 0x0b14c1551e7736e7ULL,
-                   0xc9d450e1adcbefa9ULL, 0x06b7da18a6520bddULL,
-                   0xdacb214940c60b01ULL},
-        GoldenCase{"video", &Video, 150, 5, 3, 0x9cda0ef9f92ef8f7ULL,
-                   0xd962bb88d2028103ULL, 0xe6127aba88cb135bULL,
-                   0x755bee9b87b426a4ULL},
-        GoldenCase{"tek16", &Tek16, 128, 4, 4, 0x40a9d66db59f07b3ULL,
-                   0x5098c3e110493f28ULL, 0x367d701da2966ba7ULL,
-                   0xeb0d45bd608dae2bULL},
+        GoldenCase{"ecg0606", &Ecg0606, 120, 4, 4, 0x55a95e23c2bfc7d9ULL,
+                   0xa093e538e410e0b3ULL, 0x4b408003ab80b81aULL,
+                   0x0735af10705151e2ULL},
+        GoldenCase{"video", &Video, 150, 5, 3, 0xc259c13230f6adfeULL,
+                   0x0ac495026252b3d2ULL, 0xf974556dec1ba520ULL,
+                   0x647ff6b1df380c94ULL},
+        GoldenCase{"tek16", &Tek16, 128, 4, 4, 0x3803b4fd3bdf381dULL,
+                   0x18400668b59b8fbcULL, 0xb9a564c8f200dd85ULL,
+                   0x6d62a070f6746ed8ULL},
         GoldenCase{"respiration43", &Respiration43, 128, 5, 4,
-                   0x88874eef37cd1addULL, 0xd2e2b06b7d8e9231ULL,
-                   0x4a2896a0ae5843acULL, 0x16dcbf9af2e4ef72ULL}),
+                   0xa4c9fbe3cfb9241aULL, 0x9d4827546733a885ULL,
+                   0x80dc11c41a65d57eULL, 0xae984745e7245f6fULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& golden) {
       return std::string(golden.param.name);
     });

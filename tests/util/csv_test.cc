@@ -1,9 +1,11 @@
 #include "util/csv.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +141,34 @@ TEST_F(CsvTest, WritesMultipleColumns) {
 TEST_F(CsvTest, RejectsMismatchedColumns) {
   EXPECT_FALSE(WriteCsvColumns(path_, {"a"}, {{1.0}, {2.0}}).ok());
   EXPECT_FALSE(WriteCsvColumns(path_, {"a", "b"}, {{1.0}, {2.0, 3.0}}).ok());
+}
+
+TEST(ParseUnsignedTest, AcceptsDigitsUpToMax) {
+  EXPECT_EQ(*ParseUnsigned("0", 10), 0u);
+  EXPECT_EQ(*ParseUnsigned("10", 10), 10u);
+  EXPECT_EQ(*ParseUnsigned("007", 10), 7u);
+  EXPECT_EQ(*ParseUnsigned("65535", 65535), 65535u);
+  EXPECT_EQ(*ParseUnsigned("18446744073709551615", UINT64_MAX), UINT64_MAX);
+}
+
+TEST(ParseUnsignedTest, RejectsEverythingElse) {
+  for (const char* text :
+       {"", "abc", "-1", "+1", " 1", "1 ", "\t1", "1x", "0x10", "1.5", "1e3",
+        "18446744073709551616", "99999999999999999999999"}) {
+    const StatusOr<uint64_t> parsed = ParseUnsigned(text, UINT64_MAX);
+    ASSERT_FALSE(parsed.ok()) << "'" << text << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+TEST(ParseUnsignedTest, RejectsValuesAboveMax) {
+  const StatusOr<uint64_t> port = ParseUnsigned("65536", 65535);
+  ASSERT_FALSE(port.ok());
+  EXPECT_EQ(port.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(port.status().message().find("65535"), std::string::npos);
+  EXPECT_FALSE(ParseUnsigned("11", 10).ok());
+  EXPECT_TRUE(ParseUnsigned("0", 0).ok());
+  EXPECT_FALSE(ParseUnsigned("1", 0).ok());
 }
 
 }  // namespace

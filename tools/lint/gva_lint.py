@@ -397,7 +397,7 @@ def check_include_bits(path: str, rel: str, lines: list[str]) -> list[Finding]:
 
 # The only tree allowed to contain ISA-specific code: its TUs get per-file
 # ISA flags in src/CMakeLists.txt and its tables are gated by runtime
-# cpuid/hwcap checks before the registry hands them out.
+# cpuid checks before the registry hands them out.
 SIMD_ALLOWED_DIRS = ("src/backend/",)
 
 SIMD_PATTERNS = [

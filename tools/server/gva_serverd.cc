@@ -24,9 +24,11 @@
 // workers join.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <poll.h>
@@ -34,6 +36,7 @@
 
 #include "net/server.h"
 #include "obs/recorder.h"
+#include "util/csv.h"
 
 namespace {
 
@@ -55,16 +58,6 @@ int Usage() {
   return 2;
 }
 
-bool ParseSize(const char* text, size_t* out) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<size_t>(value);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,24 +73,28 @@ int main(int argc, char** argv) {
       return Usage();
     }
     const char* value = argv[++i];
-    size_t parsed = 0;
     if (flag == "--bind") {
       options.bind_address = value;
       continue;
     }
-    if (!ParseSize(value, &parsed)) {
+    const gva::StatusOr<uint64_t> parsed = gva::ParseUnsigned(
+        value, flag == "--port" ? 65535 : std::numeric_limits<size_t>::max());
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s: %s\n", flag.c_str(),
+                   parsed.status().ToString().c_str());
       return Usage();
     }
-    if (flag == "--port" && parsed <= 65535) {
-      options.port = static_cast<uint16_t>(parsed);
+    const size_t n = static_cast<size_t>(*parsed);
+    if (flag == "--port") {
+      options.port = static_cast<uint16_t>(n);
     } else if (flag == "--slots") {
-      options.runner.slots = parsed;
+      options.runner.slots = n;
     } else if (flag == "--queue") {
-      options.runner.queue_capacity = parsed;
+      options.runner.queue_capacity = n;
     } else if (flag == "--job-threads") {
-      options.runner.max_threads_per_job = parsed;
+      options.runner.max_threads_per_job = n;
     } else if (flag == "--max-streams") {
-      options.max_streams = parsed;
+      options.max_streams = n;
     } else {
       return Usage();
     }
