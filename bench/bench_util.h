@@ -63,10 +63,6 @@ inline void MaybeWriteFigure(const SvgFigure& figure,
 ///   --trace=PATH     write a Chrome trace-event JSON capture
 ///   --metrics=PATH   write a metrics-registry JSON snapshot
 ///   --quiet          suppress informational chatter (announcements)
-///   --backend=NAME   force the kernel backend (scalar|avx2|auto);
-///                    applied immediately, exits 2 on unknown/unavailable
-///                    names so a bench never silently measures the wrong
-///                    kernel
 ///   --telemetry-port=N  serve /metrics, /metrics.json, /healthz and
 ///                    /flightz on 127.0.0.1:N for the run's lifetime
 ///                    (0 = ephemeral port, printed on startup); applied
@@ -94,14 +90,6 @@ inline bool ParseObsFlag(const std::string& arg, ObsFlags* flags) {
   }
   if (arg == "--quiet") {
     flags->quiet = true;
-    return true;
-  }
-  if (arg.rfind("--backend=", 0) == 0) {
-    const Status status = backend::SetActiveBackend(arg.substr(10));
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      std::exit(2);
-    }
     return true;
   }
   if (arg.rfind("--telemetry-port=", 0) == 0) {

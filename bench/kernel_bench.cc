@@ -11,7 +11,7 @@
 // BENCH_kernels.json) so later PRs have a perf trajectory to compare
 // against.
 //
-//   kernel_bench [--smoke] [--out PATH] [--backend=NAME]
+//   kernel_bench [--smoke] [--out PATH]
 //
 // --smoke runs a seconds-scale configuration and skips the JSON (unless
 // --out is given): it is wired into ctest under the `perf-smoke` label to
@@ -22,7 +22,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -96,20 +95,19 @@ double BestOf(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-/// Times `baseline` and `kernel` in `rounds` alternating pairs and returns
-/// the best of each side in seconds. Alternating exposes both sides to the
-/// same load on a shared host, where back-to-back best-of-3 blocks let one
-/// side run through a load spike the other missed.
-std::pair<double, double> AlternatingBestOf(
-    int rounds, const std::function<void()>& baseline,
-    const std::function<void()>& kernel) {
-  double best_baseline = 1e300;
-  double best_kernel = 1e300;
+/// Times every side once per round, in order, for `rounds` rounds and
+/// returns the best of each side in seconds. Alternating exposes all sides
+/// to the same load on a shared host, where back-to-back best-of-N blocks
+/// let one side run through a load spike another missed.
+std::vector<double> AlternatingBestOf(
+    int rounds, const std::vector<std::function<void()>>& sides) {
+  std::vector<double> best(sides.size(), 1e300);
   for (int r = 0; r < rounds; ++r) {
-    best_baseline = std::min(best_baseline, BestOf(1, baseline));
-    best_kernel = std::min(best_kernel, BestOf(1, kernel));
+    for (size_t i = 0; i < sides.size(); ++i) {
+      best[i] = std::min(best[i], BestOf(1, sides[i]));
+    }
   }
-  return {best_baseline, best_kernel};
+  return best;
 }
 
 struct KernelRow {
@@ -222,20 +220,22 @@ KernelRow BenchDiscretize(const std::string& name,
   row.detail = StrFormat("n=%zu w=%zu paa=%zu a=%zu", series.size(),
                          opts.window, opts.paa_size, opts.alphabet_size);
   row.units = static_cast<double>(series.size());
-  std::tie(row.baseline_s, row.kernel_s) = AlternatingBestOf(
+  const std::vector<double> best = AlternatingBestOf(
       rounds,
-      [&] {
-        const SaxRecords r = NaiveDiscretize(series, opts, opts.numerosity);
-        if (r.words.empty()) {
-          std::abort();  // keep the optimizer honest
-        }
-      },
-      [&] {
-        const auto r = Discretize(series, opts);
-        if (!r.ok() || r->words.empty()) {
-          std::abort();
-        }
-      });
+      {[&] {
+         const SaxRecords r = NaiveDiscretize(series, opts, opts.numerosity);
+         if (r.words.empty()) {
+           std::abort();  // keep the optimizer honest
+         }
+       },
+       [&] {
+         const auto r = Discretize(series, opts);
+         if (!r.ok() || r->words.empty()) {
+           std::abort();
+         }
+       }});
+  row.baseline_s = best[0];
+  row.kernel_s = best[1];
   return row;
 }
 
@@ -247,10 +247,11 @@ KernelRow BenchDiscretize(const std::string& name,
 /// backend vs scalar on identical work". Before any timing, every backend
 /// is CHECKed against scalar over the full pair list: every backend builds
 /// the one distance kernel (DESIGN.md §11), so each call's result —
-/// distance or abandon — must be the same bits.
+/// distance or abandon — must be the same bits. The backends are then timed
+/// in `rounds` alternating rounds, best of each.
 void BenchDistanceBackends(const std::string& name,
                            std::span<const double> series, size_t length,
-                           size_t calls, bool abandoning, int reps,
+                           size_t calls, bool abandoning, int rounds,
                            std::vector<KernelRow>* rows) {
   const std::vector<const backend::KernelBackend*> backends =
       backend::AvailableBackends();
@@ -292,20 +293,24 @@ void BenchDistanceBackends(const std::string& name,
   const double units =
       static_cast<double>(calls) * static_cast<double>(length);
   double sink = 0.0;
-  const auto time_backend = [&](const backend::KernelBackend* b) {
-    SubsequenceDistance dist(series, kDefaultZNormEpsilon, b);
-    return BestOf(reps,
-                  [&] { sink += ScanPairs(dist, stats, pairs, length); });
-  };
-  const double scalar_s = time_backend(backend::ScalarBackend());
+  std::vector<SubsequenceDistance> dists;
+  dists.reserve(backends.size());
+  std::vector<std::function<void()>> sides;
   for (const backend::KernelBackend* b : backends) {
+    const SubsequenceDistance* dist =
+        &dists.emplace_back(series, kDefaultZNormEpsilon, b);
+    sides.push_back(
+        [&, dist] { sink += ScanPairs(*dist, stats, pairs, length); });
+  }
+  const std::vector<double> best = AlternatingBestOf(rounds, sides);
+  const double scalar_s = best.back();  // scalar is always listed last
+  for (size_t i = 0; i < backends.size(); ++i) {
     KernelRow row;
-    row.name = "distance/" + name + "[" + b->name + "]";
+    row.name = "distance/" + name + "[" + backends[i]->name + "]";
     row.detail = detail;
     row.units = units;
     row.baseline_s = scalar_s;
-    row.kernel_s =
-        b == backend::ScalarBackend() ? scalar_s : time_backend(b);
+    row.kernel_s = best[i];
     rows->push_back(row);
   }
   if (sink == 1e300) {  // never true; defeats dead-code elimination
@@ -323,7 +328,9 @@ void BenchDistanceBackends(const std::string& name,
 /// the instrumentation is free; the smoke CHECK bounds the regression.
 KernelRow BenchObsOverhead(std::span<const double> series, size_t length,
                            size_t calls, int reps) {
-  SubsequenceDistance dist(series);
+  // The scalar build, so the ratio stays comparable across hosts.
+  SubsequenceDistance dist(series, kDefaultZNormEpsilon,
+                           backend::ScalarBackend());
   const std::vector<WindowStats> stats = dist.StatsOfAllWindows(length);
   Rng rng(54321);
   const PairList pairs = MakeScanPairs(rng, series.size(), length, calls);
@@ -335,27 +342,21 @@ KernelRow BenchObsOverhead(std::span<const double> series, size_t length,
   row.name = "obs/counter_overhead";
   row.detail = StrFormat("len=%zu calls=%zu", length, calls);
   row.units = static_cast<double>(calls) * static_cast<double>(length);
-  // Interleave the two sides rep by rep (instead of two back-to-back
-  // BestOf blocks) so a load spike during a parallel ctest run skews both
-  // measurements alike rather than whichever side ran later.
-  row.baseline_s = 1e300;
-  row.kernel_s = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    // The same call loop as ScanPairs, plus one counter touch per call.
-    const auto loop = [&](auto& counter) {
-      DistanceScan scan(dist);
-      for (size_t i = 0; i < calls; ++i) {
-        if (i % kScanLength == 0) {
-          scan.SetQuery(pairs.ps[i], length, stats[pairs.ps[i]]);
-        }
-        sink += scan.Distance(pairs.qs[i], stats[pairs.qs[i]]);
-        counter.Add();
+  // The same call loop as ScanPairs, plus one counter touch per call.
+  const auto loop = [&](auto& counter) {
+    DistanceScan scan(dist);
+    for (size_t i = 0; i < calls; ++i) {
+      if (i % kScanLength == 0) {
+        scan.SetQuery(pairs.ps[i], length, stats[pairs.ps[i]]);
       }
-    };
-    row.baseline_s =
-        std::min(row.baseline_s, BestOf(1, [&] { loop(off); }));
-    row.kernel_s = std::min(row.kernel_s, BestOf(1, [&] { loop(on); }));
-  }
+      sink += scan.Distance(pairs.qs[i], stats[pairs.qs[i]]);
+      counter.Add();
+    }
+  };
+  const std::vector<double> best =
+      AlternatingBestOf(reps, {[&] { loop(off); }, [&] { loop(on); }});
+  row.baseline_s = best[0];
+  row.kernel_s = best[1];
   if (sink == 1e300) {  // never true; defeats dead-code elimination
     std::abort();
   }
@@ -377,13 +378,6 @@ int Run(bool smoke, const std::string& out_path) {
     backend_names += b->name;
   }
   std::printf("available backends: %s\n", backend_names.c_str());
-
-  // The obs-overhead row times its distance loop under the scalar backend,
-  // so its ratio stays comparable across PRs and hosts. The discretize rows
-  // make no dispatched call, and the matrix rows pick backends explicitly.
-  if (!backend::SetActiveBackend("scalar").ok()) {
-    std::abort();
-  }
 
   std::vector<KernelRow> rows;
   if (smoke) {
@@ -432,15 +426,15 @@ int Run(bool smoke, const std::string& out_path) {
     opts.window = 180;
     opts.paa_size = 6;
     opts.alphabet_size = 4;
-    // Discretize rows alternate the two sides for 15 rounds each.
-    constexpr int kDiscretizeRounds = 15;
+    // Every timed row alternates its sides for 15 rounds, best of each.
+    constexpr int kRounds = 15;
     rows.push_back(
-        BenchDiscretize("sine_100k", sine, opts, kDiscretizeRounds));
+        BenchDiscretize("sine_100k", sine, opts, kRounds));
 
     SaxOptions all_windows = opts;
     all_windows.numerosity = NumerosityReduction::kNone;
     rows.push_back(BenchDiscretize("sine_100k_allwin", sine, all_windows,
-                                   kDiscretizeRounds));
+                                   kRounds));
 
     EcgOptions ecg_opts;
     ecg_opts.num_beats = 180;  // ~21.6k points
@@ -450,12 +444,16 @@ int Run(bool smoke, const std::string& out_path) {
     ecg_sax.paa_size = 4;
     ecg_sax.alphabet_size = 4;
     rows.push_back(
-        BenchDiscretize("ecg", ecg.series, ecg_sax, kDiscretizeRounds));
+        BenchDiscretize("ecg", ecg.series, ecg_sax, kRounds));
 
-    BenchDistanceBackends("sine_100k", sine, 180, 20000, false, 3, &rows);
-    BenchDistanceBackends("sine_100k", sine, 180, 20000, true, 3, &rows);
-    BenchDistanceBackends("sine_100k_long", sine, 1024, 5000, false, 3, &rows);
-    BenchDistanceBackends("ecg", ecg.series, 120, 20000, false, 3, &rows);
+    BenchDistanceBackends("sine_100k", sine, 180, 20000, false, kRounds,
+                          &rows);
+    BenchDistanceBackends("sine_100k", sine, 180, 20000, true, kRounds,
+                          &rows);
+    BenchDistanceBackends("sine_100k_long", sine, 1024, 5000, false, kRounds,
+                          &rows);
+    BenchDistanceBackends("ecg", ecg.series, 120, 20000, false, kRounds,
+                          &rows);
 
     rows.push_back(BenchObsOverhead(sine, 180, 50000, 5));
   }
@@ -529,7 +527,8 @@ int Run(bool smoke, const std::string& out_path) {
         "work (the dispatch matrix, DESIGN.md \\u00a711), called the way "
         "the searches call it (a DistanceScan normalizes each query once "
         "per run of 100 calls; window statistics come from a table built "
-        "once, outside the timing); the best of 3 per side. obs row: "
+        "once, outside the timing); the best of 15 rounds alternating the "
+        "backends. obs row: "
         "baseline = obs-disabled counter, kernel = obs-enabled counter. "
         "items = series points (discretize) or accumulated elements "
         "(distance).\",\n";
@@ -566,7 +565,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "usage: kernel_bench [--smoke] [--out PATH] [--trace=PATH] "
-          "[--metrics=PATH] [--backend=NAME] [--quiet]\n");
+          "[--metrics=PATH] [--quiet]\n");
       return 2;
     }
   }

@@ -14,8 +14,9 @@
 // number; the first one that does not fails the run (exit 1) with its
 // 1-based index.
 //
-// Common options (--flag value and --flag=value are both accepted; a
-// numeric value that does not parse — N takes digits only — exits 2):
+// Common options (--flag value and --flag=value are both accepted; an
+// unknown flag, or a numeric value that does not parse — N takes digits
+// only — exits 2):
 //   --column N      CSV column to read (default 0)
 //   --window N      sliding window  (default: suggested from the data)
 //   --paa N         PAA segments    (default: suggested)
@@ -55,11 +56,8 @@
 //   --quiet         suppress informational chatter (loaded/suggested/wrote
 //                   lines and the metrics summary); result tables only
 //
-// Kernel dispatch (see DESIGN.md §11):
-//   --backend NAME  force the kernel backend (scalar|avx2|auto); default
-//                   is the GVA_BACKEND environment variable, then
-//                   auto-selection (fastest available). Search results are
-//                   the same bits under every backend.
+// The distance kernel build is the fastest one the CPU runs (DESIGN.md
+// §11); the non-quiet output names it on its first line.
 
 #include <chrono>
 #include <cstdint>
@@ -166,13 +164,20 @@ int Usage() {
                "--threshold F --approx --threads N --csv-out PATH "
                "--ensemble --grid SPEC "
                "--horizon N --report-every N "
-               "--backend scalar|avx2|auto "
                "--trace PATH --metrics PATH --telemetry-port N --quiet]\n");
   return 2;
 }
 
 bool IsBooleanFlag(const std::string& flag) {
   return flag == "approx" || flag == "quiet" || flag == "ensemble";
+}
+
+/// Every flag the CLI reads: a misspelled one must not run silently with
+/// the default it meant to override.
+bool IsKnownFlag(const std::string& flag) {
+  return IsBooleanFlag(flag) || UnsignedFlags().count(flag) > 0 ||
+         flag == "threshold" || flag == "csv-out" || flag == "grid" ||
+         flag == "trace" || flag == "metrics";
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -187,10 +192,18 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
     flag = flag.substr(2);
-    if (const size_t eq = flag.find('='); eq != std::string::npos) {
-      // --flag=value spelling.
-      const std::string value = flag.substr(eq + 1);
+    std::string value;
+    const size_t eq = flag.find('=');
+    if (eq != std::string::npos) {
+      value = flag.substr(eq + 1);
       flag = flag.substr(0, eq);
+    }
+    if (!IsKnownFlag(flag)) {
+      std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
+      return false;
+    }
+    if (eq != std::string::npos) {
+      // --flag=value spelling.
       if (IsBooleanFlag(flag)) {
         return false;
       }
@@ -615,15 +628,6 @@ int main(int argc, char** argv) {
   }
   const bool quiet = args.has_flag("quiet");
 
-  // Backend selection happens before any oracle is constructed; the flag
-  // wins over the GVA_BACKEND environment variable.
-  if (args.has_flag("backend")) {
-    const Status status = backend::SetActiveBackend(args.options.at("backend"));
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 2;
-    }
-  }
   // Resolve the backend now, not at the first kernel call, so
   // `backend.selected` names it even for a run that never reaches a kernel.
   const backend::KernelBackend& active_backend = backend::ActiveBackend();

@@ -1,9 +1,6 @@
 #include "backend/backend.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "obs/metrics.h"
 
@@ -16,31 +13,6 @@ namespace {
 void AnnounceSelection(const KernelBackend* b) {
   obs::GlobalMetrics().gauge("backend.selected").Set(
       static_cast<int64_t>(b->id));
-}
-
-/// Resolves the GVA_BACKEND environment override, defaulting to "auto".
-/// An unknown or unavailable value is a hard error: a run that asked for a
-/// specific backend and silently got another would report wrong numbers.
-const KernelBackend* SelectFromEnvironment() {
-  const char* env = std::getenv("GVA_BACKEND");
-  const std::string_view name =
-      (env == nullptr || env[0] == '\0') ? std::string_view("auto") : env;
-  const KernelBackend* b = FindBackend(name);
-  if (b == nullptr) {
-    std::string have;
-    for (const KernelBackend* avail : AvailableBackends()) {
-      if (!have.empty()) {
-        have += ", ";
-      }
-      have += avail->name;
-    }
-    std::fprintf(stderr,
-                 "gva: GVA_BACKEND='%.*s' is not a usable backend on this "
-                 "host (available: %s, auto)\n",
-                 static_cast<int>(name.size()), name.data(), have.c_str());
-    std::abort();
-  }
-  return b;
 }
 
 std::atomic<const KernelBackend*>& ActiveSlot() {
@@ -63,46 +35,22 @@ std::vector<const KernelBackend*> AvailableBackends() {
   return backends;
 }
 
-const KernelBackend* FindBackend(std::string_view name) {
-  if (name == "auto") {
-    return AvailableBackends().front();
-  }
-  for (const KernelBackend* b : AvailableBackends()) {
-    if (name == b->name) {
-      return b;
-    }
-  }
-  return nullptr;
-}
-
 const KernelBackend& ActiveBackend() {
   std::atomic<const KernelBackend*>& slot = ActiveSlot();
   const KernelBackend* b = slot.load(std::memory_order_acquire);
   if (b == nullptr) {
-    // First use. Two threads racing here resolve the same environment to
-    // the same table and both store it — benign, and the slot is atomic.
-    b = SelectFromEnvironment();
+    // First use. Two threads racing here resolve the same CPU to the same
+    // table and both store it — benign, and the slot is atomic.
+    b = AvailableBackends().front();
     AnnounceSelection(b);
     slot.store(b, std::memory_order_release);
   }
   return *b;
 }
 
-Status SetActiveBackend(std::string_view name) {
-  const KernelBackend* b = FindBackend(name);
-  if (b == nullptr) {
-    std::string have = "auto";
-    for (const KernelBackend* avail : AvailableBackends()) {
-      have += ", ";
-      have += avail->name;
-    }
-    return Status::InvalidArgument("unknown or unavailable backend '" +
-                                   std::string(name) + "' (available: " +
-                                   have + ")");
-  }
-  AnnounceSelection(b);
-  ActiveSlot().store(b, std::memory_order_release);
-  return Status::Ok();
+void SetActiveBackend(const KernelBackend& backend) {
+  AnnounceSelection(&backend);
+  ActiveSlot().store(&backend, std::memory_order_release);
 }
 
 }  // namespace gva::backend

@@ -2,10 +2,7 @@
 #define GVA_BACKEND_BACKEND_H_
 
 #include <cstddef>
-#include <string_view>
 #include <vector>
-
-#include "util/status.h"
 
 namespace gva::backend {
 
@@ -27,8 +24,8 @@ enum class BackendId : int { kScalar = 1, kAvx2 = 2 };
 /// rule). A future GPU/OpenCL backend is one more table (plus staging
 /// buffers), not a rewrite of the call sites.
 struct KernelBackend {
-  /// Stable lowercase name ("scalar", "avx2") — the vocabulary of
-  /// GVA_BACKEND / --backend and of kernel_bench row suffixes.
+  /// Stable lowercase name ("scalar", "avx2"), printed by gva_cli and
+  /// /healthz and used as kernel_bench row suffixes.
   const char* name;
   BackendId id;
 
@@ -59,27 +56,21 @@ const KernelBackend* ScalarBackend();
 /// target AVX2 or the CPU lacks it.
 const KernelBackend* Avx2Backend();
 
-/// Available backends in auto-selection preference order (fastest first,
-/// scalar always last). Never empty.
+/// Available backends in preference order (fastest first, scalar always
+/// last). Never empty.
 std::vector<const KernelBackend*> AvailableBackends();
 
-/// Resolves "scalar" / "avx2" / "auto" to a backend. Returns null
-/// for unknown names and for backends this host cannot run.
-const KernelBackend* FindBackend(std::string_view name);
-
-/// The process-wide active backend used by default-constructed oracles.
-/// Resolved once on first use: GVA_BACKEND=scalar|avx2|auto when set
-/// (an unknown or unavailable value aborts loudly — a forced backend
-/// silently falling back would invalidate a benchmark), otherwise "auto".
-/// Selection records the backend's id in the `backend.selected` gauge.
+/// The process-wide backend used by default-constructed oracles: the first
+/// entry of AvailableBackends(), resolved once on first use, when it is
+/// recorded in the `backend.selected` gauge: the CPU decides.
 /// Thread-safe.
 const KernelBackend& ActiveBackend();
 
-/// Programmatic override (the --backend CLI/bench flag). Accepts the same
-/// vocabulary as GVA_BACKEND; InvalidArgument for unknown/unavailable
-/// names. Affects oracles constructed afterwards, not ones already holding
-/// the previous backend.
-Status SetActiveBackend(std::string_view name);
+/// Test seam: makes `backend` the active one, so a test can run whole
+/// searches under each build in one process. Affects oracles constructed
+/// afterwards, not ones already holding the previous backend. Only tests
+/// call it.
+void SetActiveBackend(const KernelBackend& backend);
 
 }  // namespace gva::backend
 

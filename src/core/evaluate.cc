@@ -47,18 +47,4 @@ double Recall(const std::vector<Interval>& found,
   return static_cast<double>(hits) / static_cast<double>(truth.size());
 }
 
-double Precision(const std::vector<Interval>& found,
-                 const std::vector<Interval>& truth, size_t slack) {
-  if (found.empty()) {
-    return 1.0;
-  }
-  size_t hits = 0;
-  for (const Interval& f : found) {
-    if (HitsAnyTruth(f, truth, slack)) {
-      ++hits;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(found.size());
-}
-
 }  // namespace gva

@@ -24,11 +24,6 @@ double OverlapFraction(const Interval& found, const Interval& reference);
 double Recall(const std::vector<Interval>& found,
               const std::vector<Interval>& truth, size_t slack = 0);
 
-/// Precision over the found set: fraction of found intervals that hit at
-/// least one truth interval (with slack).
-double Precision(const std::vector<Interval>& found,
-                 const std::vector<Interval>& truth, size_t slack = 0);
-
 }  // namespace gva
 
 #endif  // GVA_CORE_EVALUATE_H_

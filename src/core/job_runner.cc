@@ -12,6 +12,8 @@
 #include "discord/hotsax.h"
 #include "ensemble/ensemble.h"
 #include "util/status.h"
+#include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace gva {
 
@@ -259,6 +261,14 @@ Status JobRunnerOptions::Validate() const {
   if (max_threads_per_job == 0) {
     return Status::InvalidArgument("max_threads_per_job must be >= 1");
   }
+  // slots * max_threads_per_job bounds the threads the runner can have
+  // running at once, so it gets the pool's own lane cap. The division form
+  // cannot overflow: a * b <= N exactly when b <= N / a.
+  if (max_threads_per_job > ThreadPool::kMaxLanes / slots) {
+    return Status::InvalidArgument(StrFormat(
+        "slots * max_threads_per_job must be <= %zu (got %zu * %zu)",
+        ThreadPool::kMaxLanes, slots, max_threads_per_job));
+  }
   if (max_series_points == 0) {
     return Status::InvalidArgument("max_series_points must be >= 1");
   }
@@ -298,6 +308,11 @@ StatusOr<uint64_t> JobRunner::Submit(JobSpec spec) {
     return Status::InvalidArgument(
         "job series exceeds the runner's max_series_points");
   }
+  // Checked at submission, for every detector, so a bad threshold is a 400
+  // to the client rather than a job that fails once it runs.
+  DensityAnomalyOptions density;
+  density.threshold_fraction = spec.threshold;
+  GVA_RETURN_IF_ERROR(density.Validate());
   // 0 means "all cores" at the library layer; inside a multi-slot server
   // that would oversubscribe, so both 0 and large values clamp to the
   // per-job lane budget. Results are thread-count invariant, so the clamp

@@ -55,7 +55,8 @@ struct JobSpec {
   size_t alphabet = 0;
   /// Anomalies/discords to report (CLI --top).
   size_t top_k = 3;
-  /// Density threshold fraction (CLI --threshold).
+  /// Density threshold fraction (CLI --threshold), in [0, 1] for every
+  /// detector.
   double threshold = 0.05;
   /// Worker lanes inside the search (CLI --threads); clamped to
   /// JobRunnerOptions::max_threads_per_job. Results are thread-count
@@ -113,7 +114,8 @@ struct JobSnapshot {
 };
 
 struct JobRunnerOptions {
-  /// Concurrent job slots (one worker thread each).
+  /// Concurrent job slots (one worker thread each). Validate() bounds
+  /// slots * max_threads_per_job by ThreadPool::kMaxLanes.
   size_t slots = 2;
   /// Bounded FIFO admission queue behind the slots; Submit is rejected
   /// with ResourceExhausted when full (the server maps that to 429).
@@ -149,7 +151,8 @@ class JobRunner {
   JobRunner& operator=(const JobRunner&) = delete;
 
   /// Enqueues a job. Fails with ResourceExhausted when the queue is full
-  /// (never blocks), InvalidArgument on an unusable spec.
+  /// (never blocks), InvalidArgument on an unusable spec (empty or
+  /// oversized series, threshold outside [0, 1]).
   StatusOr<uint64_t> Submit(JobSpec spec);
 
   /// Snapshot of one job; NotFound for unknown ids.

@@ -21,19 +21,11 @@ std::vector<RuleInterval> BuildRraCandidates(
       candidates.push_back(ri);
     }
   }
-  if (options.include_gap_intervals) {
-    size_t min_gap = options.min_gap_length;
-    if (min_gap == 0) {  // auto: one PAA segment
-      min_gap = std::max<size_t>(
-          2, decomposition.window / std::max<size_t>(1, options.sax.paa_size));
-    }
-    min_gap = std::max<size_t>(2, min_gap);
-    for (const RuleInterval& gap :
-         ZeroCoverageIntervals(decomposition.density, min_gap)) {
-      if (options.drop_boundary_gaps &&
-          (gap.span.start == 0 || gap.span.end >= m)) {
-        continue;
-      }
+  const size_t min_gap = std::max<size_t>(
+      2, decomposition.window / std::max<size_t>(1, options.sax.paa_size));
+  for (const RuleInterval& gap :
+       ZeroCoverageIntervals(decomposition.density, min_gap)) {
+    if (gap.span.start != 0 && gap.span.end < m) {
       candidates.push_back(gap);
     }
   }
@@ -124,8 +116,8 @@ struct CacheUpdate {
 /// be pruned, and the arg-max reduction with the BestCandidate total order
 /// yields the same round winner for every thread count.
 bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
-                     const std::vector<char>& excluded, bool normalize,
-                     bool exact_nn, size_t refine_delta,
+                     const std::vector<char>& excluded, bool exact_nn,
+                     size_t refine_delta,
                      const std::atomic<bool>* cancel, ThreadPool& pool,
                      NnCache& cache, SearchTally* tally, DiscordRecord* best) {
   GVA_OBS_SPAN("search.rra.round");
@@ -179,7 +171,7 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
       const RuleInterval& cand = candidates[ci];
       const size_t p = cand.span.start;
       const size_t len = cand.span.length();
-      const double norm = normalize ? static_cast<double>(len) : 1.0;
+      const double norm = static_cast<double>(len);  // paper Eq. (1)
       scan.SetQuery(p, len, dist.StatsOf(p, len));
 
       double nn = SubsequenceDistance::kInfinity;  // normalized units
@@ -355,9 +347,8 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
     const size_t refine_delta = std::max<size_t>(
         2, options.sax.window / std::max<size_t>(1, 2 * options.sax.paa_size));
     const bool found = FindBestDiscord(
-        dist, state, excluded, options.normalize_by_length,
-        options.exact_nearest_neighbor, refine_delta, options.cancel, pool,
-        cache, &tally, &best);
+        dist, state, excluded, options.exact_nearest_neighbor, refine_delta,
+        options.cancel, pool, cache, &tally, &best);
     // A cancelled round may have skipped candidates, so whatever it
     // reported is not trustworthy: the whole search fails as Cancelled.
     if (options.cancel != nullptr &&
@@ -394,7 +385,6 @@ StatusOr<RraDetection> FindRraDiscords(std::span<const double> series,
 
 std::vector<double> IntervalNnDistances(std::span<const double> series,
                                         const std::vector<RuleInterval>& all,
-                                        bool normalize_by_length,
                                         double znorm_epsilon) {
   SubsequenceDistance dist(series, znorm_epsilon);
   DistanceScan scan(dist);
@@ -406,8 +396,7 @@ std::vector<double> IntervalNnDistances(std::span<const double> series,
     if (len < 2 || p + len > m) {
       continue;
     }
-    const double norm =
-        normalize_by_length ? static_cast<double>(len) : 1.0;
+    const double norm = static_cast<double>(len);
     scan.SetQuery(p, len, dist.StatsOf(p, len));
     double nn = SubsequenceDistance::kInfinity;
     for (size_t j = 0; j < all.size(); ++j) {

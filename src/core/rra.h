@@ -14,7 +14,10 @@
 namespace gva {
 
 /// Options for the RRA (Rare Rule Anomaly) exact discord search
-/// (paper Section 4.2, Algorithm 1).
+/// (paper Section 4.2, Algorithm 1). The objective is fixed: the
+/// length-normalized Euclidean distance of paper Eq. (1), over rule
+/// intervals plus the zero-coverage gaps of the density curve (see
+/// BuildRraCandidates).
 struct RraOptions {
   /// Discretization parameters; the window is only a "seed" size — reported
   /// discords may be shorter or longer.
@@ -23,21 +26,6 @@ struct RraOptions {
   size_t top_k = 1;
   /// Seed for the randomized tail of the inner/outer orderings.
   uint64_t seed = 0x5eedu;
-  /// Zero-coverage runs of the density curve shorter than this are not
-  /// added as candidate intervals. 0 means automatic: one PAA segment
-  /// (window / paa_size) — anything shorter is sub-symbol noise.
-  size_t min_gap_length = 0;
-  /// Drop zero-coverage gaps touching the series boundary. The density
-  /// curve always ramps to zero at the edges (fewer windows cover them), so
-  /// boundary gaps are artifacts, not anomalies.
-  bool drop_boundary_gaps = true;
-  /// Whether zero-coverage gaps are added at all (frequency 0, visited
-  /// first; this is how anomalies that never made it into a rule are found).
-  bool include_gap_intervals = true;
-  /// Use the length-normalized Euclidean distance of paper Eq. (1). When
-  /// false, raw z-normalized Euclidean distance is used (longer intervals
-  /// then dominate the ranking).
-  bool normalize_by_length = true;
   /// When true (default), candidates that survive the interval-aligned
   /// inner phases are verified against every sliding-window position (with
   /// early abandoning), so the reported discord distance is exact. When
@@ -78,11 +66,15 @@ StatusOr<RraDetection> FindRraDiscords(std::span<const double> series,
                                        const RraOptions& options);
 
 /// The candidate-interval assembly step of the RRA search: rule intervals
-/// (length >= 2, in bounds) plus zero-coverage gaps of the density curve,
-/// subject to `options`' gap filtering. This is exactly the candidate set
-/// FindRraDiscordsInDecomposition searches, exposed so differential tests
-/// can compare the search result against an exhaustive scan over the same
-/// candidates.
+/// (length >= 2, in bounds) plus the zero-coverage gaps of the density
+/// curve. Gaps have frequency 0, so the search visits them first; they are
+/// how anomalies that never made it into a rule are found. A gap shorter
+/// than max(2, window / paa_size) — one PAA segment — is sub-symbol noise
+/// and is skipped, and so is a gap touching the series boundary: the curve
+/// ramps to zero at the edges because fewer windows cover them. This is
+/// exactly the candidate set FindRraDiscordsInDecomposition searches,
+/// exposed so differential tests can compare the search result against an
+/// exhaustive scan over the same candidates.
 std::vector<RuleInterval> BuildRraCandidates(
     const GrammarDecomposition& decomposition, const RraOptions& options);
 
@@ -93,7 +85,7 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
     std::span<const double> series, const GrammarDecomposition& decomposition,
     const RraOptions& options);
 
-/// For every rule interval, its (normalized) distance to the nearest
+/// For every rule interval, its length-normalized distance to the nearest
 /// non-self match among the other intervals — the bottom panels of the
 /// paper's Figures 2 and 3. Exhaustive (no pruning); intended for plots and
 /// diagnostics, not for the search itself. `znorm_epsilon` must match the
@@ -103,7 +95,6 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
 /// disagree with the search on near-flat windows.
 std::vector<double> IntervalNnDistances(std::span<const double> series,
                                         const std::vector<RuleInterval>& all,
-                                        bool normalize_by_length = true,
                                         double znorm_epsilon =
                                             kDefaultZNormEpsilon);
 

@@ -12,26 +12,23 @@
 namespace gva {
 
 /// Options for the rule density-based anomaly discovery (paper Section 4.1).
+/// The extraction rule itself is fixed: every maximal run at or below the
+/// threshold is reported, away from the first and last `window` points of
+/// the curve, which ramp down at the series boundaries simply because
+/// fewer windows cover them.
 struct DensityAnomalyOptions {
   /// Density threshold as a fraction of the curve's range:
   /// threshold = min + fraction * (max - min). 0 keeps strictly the global
   /// minima; the paper's "given a fixed threshold, it simply reports
   /// contiguous points whose density is less than the threshold value".
   double threshold_fraction = 0.0;
-  /// Anomalous runs shorter than this are dropped (the optional "minimal
-  /// anomaly length" ranking criterion the paper mentions).
-  size_t min_length = 1;
-  /// Skip the first/last window points: the curve ramps down at the series
-  /// boundaries simply because fewer windows cover them.
-  bool exclude_edges = true;
   /// Keep at most this many anomalies (ranked by mean density ascending).
   /// 0 is allowed and reports nothing (callers use it as "count only").
   size_t max_anomalies = 10;
 
   /// Validates ranges: threshold_fraction must lie in [0, 1] (NaN
-  /// rejected), min_length must be >= 1. Checked by both the batch
-  /// detector and the streaming monitor — out-of-range values used to be
-  /// silently accepted and produced nonsense reports.
+  /// rejected). Checked by the batch detector, the streaming monitor and
+  /// the ensemble: an out-of-range value would produce a nonsense report.
   Status Validate() const;
 };
 
@@ -61,10 +58,32 @@ StatusOr<DensityDetection> DetectDensityAnomalies(
     const DensityAnomalyOptions& options = {});
 
 /// The anomaly-extraction step alone, for callers that already have a
-/// density curve. `window` is only used for edge exclusion.
+/// density curve. `window` is only used for edge exclusion: the first and
+/// last `window` points are skipped when the curve is longer than
+/// 2 * window (so 0 means no exclusion).
 std::vector<DensityAnomaly> FindLowDensityIntervals(
     const std::vector<uint32_t>& density, size_t window,
     const DensityAnomalyOptions& options);
+
+/// One maximal run of a curve at or below the extraction threshold.
+template <typename T>
+struct LowRun {
+  Interval span;
+  /// Smallest curve value inside the run.
+  T min = 0;
+  /// Mean curve value inside the run.
+  double mean = 0.0;
+};
+
+/// The extraction rule FindLowDensityIntervals and the ensemble's
+/// FindLowScoreIntervals share: over the edge-excluded range (as above),
+/// threshold at min + threshold_fraction * (max - min), collect the maximal
+/// runs at or below it, rank them by mean ascending with longer runs first
+/// on ties, and keep the first max_anomalies. Defined for uint32_t (rule
+/// density) and double (ensemble score) curves.
+template <typename T>
+std::vector<LowRun<T>> FindLowRuns(std::span<const T> curve, size_t window,
+                                   const DensityAnomalyOptions& options);
 
 }  // namespace gva
 

@@ -86,7 +86,7 @@ class SubsequenceDistance {
   static constexpr size_t kBlock = backend::kDistanceBlock;
 
   /// `kernel_backend` selects the kernel build; null means the
-  /// process-wide backend::ActiveBackend() (GVA_BACKEND / --backend).
+  /// process-wide backend::ActiveBackend() (the CPU's first choice).
   explicit SubsequenceDistance(
       std::span<const double> series,
       double znorm_epsilon = kDefaultZNormEpsilon,

@@ -45,8 +45,6 @@ SaxOptions EnsembleOptions::SaxFor(const EnsembleConfig& config) const {
   sax.window = config.window;
   sax.paa_size = config.paa_size;
   sax.alphabet_size = config.alphabet_size;
-  sax.numerosity = numerosity;
-  sax.znorm_epsilon = znorm_epsilon;
   return sax;
 }
 
@@ -102,64 +100,11 @@ std::vector<double> NormalizeDensity(const std::vector<uint32_t>& density) {
 std::vector<EnsembleAnomaly> FindLowScoreIntervals(
     const std::vector<double>& score, size_t edge_window,
     const DensityAnomalyOptions& options) {
-  // Mirrors FindLowDensityIntervals step for step, over a double-valued
-  // curve: same edge exclusion, same threshold rule, same maximal-run
-  // collection, same (mean asc, longer first) stable ranking.
   std::vector<EnsembleAnomaly> anomalies;
-  if (score.empty()) {
-    return anomalies;
-  }
-  size_t lo = 0;
-  size_t hi = score.size();
-  if (options.exclude_edges && score.size() > 2 * edge_window) {
-    lo = edge_window;
-    hi = score.size() - edge_window;
-  }
-  if (lo >= hi) {
-    return anomalies;
-  }
-
-  double min_s = score[lo];
-  double max_s = score[lo];
-  for (size_t i = lo; i < hi; ++i) {
-    min_s = std::min(min_s, score[i]);
-    max_s = std::max(max_s, score[i]);
-  }
-  const double threshold = min_s + options.threshold_fraction * (max_s - min_s);
-
-  size_t i = lo;
-  while (i < hi) {
-    if (score[i] > threshold) {
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    double run_min = score[i];
-    double run_sum = 0.0;
-    while (j < hi && score[j] <= threshold) {
-      run_min = std::min(run_min, score[j]);
-      run_sum += score[j];
-      ++j;
-    }
-    if (j - i >= options.min_length) {
-      anomalies.push_back(EnsembleAnomaly{
-          Interval{i, j}, run_min, run_sum / static_cast<double>(j - i), 0});
-    }
-    i = j;
-  }
-
-  std::stable_sort(anomalies.begin(), anomalies.end(),
-                   [](const EnsembleAnomaly& a, const EnsembleAnomaly& b) {
-                     if (a.mean_score != b.mean_score) {
-                       return a.mean_score < b.mean_score;
-                     }
-                     return a.span.length() > b.span.length();
-                   });
-  if (anomalies.size() > options.max_anomalies) {
-    anomalies.resize(options.max_anomalies);
-  }
-  for (size_t r = 0; r < anomalies.size(); ++r) {
-    anomalies[r].rank = r;
+  for (const LowRun<double>& run :
+       FindLowRuns<double>(score, edge_window, options)) {
+    anomalies.push_back(
+        EnsembleAnomaly{run.span, run.min, run.mean, anomalies.size()});
   }
   return anomalies;
 }
@@ -167,6 +112,7 @@ std::vector<EnsembleAnomaly> FindLowScoreIntervals(
 StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
                                         const EnsembleOptions& options) {
   GVA_OBS_SPAN("ensemble.run");
+  GVA_RETURN_IF_ERROR(options.anomaly.Validate());
   if (series.empty()) {
     return Status::InvalidArgument("ensemble: series is empty");
   }

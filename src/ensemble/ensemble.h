@@ -46,18 +46,16 @@ struct EnsembleConfig {
 struct EnsembleOptions {
   /// The configuration grid. Empty means AutoEnsembleGrid(series length).
   std::vector<EnsembleConfig> configs;
-  /// Shared by every config (the grid sweeps only the SAX triple).
-  NumerosityReduction numerosity = NumerosityReduction::kExact;
-  double znorm_epsilon = kDefaultZNormEpsilon;
-  /// Interval extraction over the aggregated score: threshold fraction,
-  /// minimum length, edge exclusion, and top-k (max_anomalies).
+  /// Interval extraction over the aggregated score: threshold fraction and
+  /// top-k (max_anomalies); RunEnsemble rejects an invalid one up front.
   DensityAnomalyOptions anomaly;
   /// Concurrency lanes for the per-config outer loop (one task per config,
   /// nested row-parallelism inside the shared z-plane builds); 0 = all
   /// hardware threads. Results are bit-identical for every value.
   size_t num_threads = 1;
 
-  /// The SaxOptions a given grid point expands to.
+  /// The SaxOptions a given grid point expands to: its SAX triple over the
+  /// SaxOptions defaults (the grid sweeps only the triple).
   SaxOptions SaxFor(const EnsembleConfig& config) const;
 };
 
@@ -130,11 +128,10 @@ std::vector<EnsembleConfig> AutoEnsembleGrid(size_t series_length);
 /// (max == min, no structure to rank) maps to all zeros.
 std::vector<double> NormalizeDensity(const std::vector<uint32_t>& density);
 
-/// Low-score interval extraction over the aggregated surface — the
-/// double-valued analog of FindLowDensityIntervals: threshold at
-/// min + fraction * (max - min) over the edge-excluded range, maximal
-/// below-threshold runs merged into intervals, ranked by mean score
-/// ascending. `edge_window` plays the role the window plays there.
+/// Low-score interval extraction over the aggregated surface: the
+/// FindLowRuns rule FindLowDensityIntervals applies to a density curve,
+/// applied to the double-valued score. `edge_window` plays the role the
+/// window plays there.
 std::vector<EnsembleAnomaly> FindLowScoreIntervals(
     const std::vector<double>& score, size_t edge_window,
     const DensityAnomalyOptions& options);
@@ -142,8 +139,9 @@ std::vector<EnsembleAnomaly> FindLowScoreIntervals(
 /// Runs the ensemble: every config through discretize -> Sequitur -> rule
 /// intervals -> density on the shared thread pool, curves normalized and
 /// aggregated in canonical config order, intervals extracted from the
-/// aggregate. Fails when the series is empty, the grid is empty after
-/// auto-generation, or no config is runnable against the series.
+/// aggregate. Fails when `options.anomaly` is invalid, the series is empty,
+/// the grid is empty after auto-generation, or no config is runnable
+/// against the series.
 StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
                                         const EnsembleOptions& options);
 

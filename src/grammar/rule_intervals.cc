@@ -51,37 +51,6 @@ std::vector<uint32_t> RuleDensityCurve(
   return density;
 }
 
-std::vector<double> WeightedDensityCurve(
-    const std::vector<RuleInterval>& intervals, size_t series_length,
-    DensityWeighting weighting) {
-  std::vector<double> diff(series_length + 1, 0.0);
-  for (const RuleInterval& ri : intervals) {
-    if (ri.span.empty() || ri.span.start >= series_length) {
-      continue;
-    }
-    double weight = 1.0;
-    switch (weighting) {
-      case DensityWeighting::kOccurrence:
-        break;
-      case DensityWeighting::kRuleFrequency:
-        weight = static_cast<double>(ri.rule_frequency);
-        break;
-      case DensityWeighting::kInverseLength:
-        weight = 1.0 / static_cast<double>(ri.span.length());
-        break;
-    }
-    diff[ri.span.start] += weight;
-    diff[std::min(ri.span.end, series_length)] -= weight;
-  }
-  std::vector<double> density(series_length, 0.0);
-  double running = 0.0;
-  for (size_t i = 0; i < series_length; ++i) {
-    running += diff[i];
-    density[i] = running < 0.0 ? 0.0 : running;  // clamp numerical noise
-  }
-  return density;
-}
-
 std::vector<RuleInterval> ZeroCoverageIntervals(
     const std::vector<uint32_t>& density, size_t min_length) {
   std::vector<RuleInterval> gaps;

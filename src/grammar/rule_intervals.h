@@ -37,25 +37,6 @@ std::vector<RuleInterval> MapRuleIntervals(const Grammar& grammar,
 std::vector<uint32_t> RuleDensityCurve(
     const std::vector<RuleInterval>& intervals, size_t series_length);
 
-/// How each covering interval contributes to the weighted density curve —
-/// the coverage-count strategies of the GrammarViz 2.0 UI.
-enum class DensityWeighting {
-  /// Each interval counts 1 (the paper's rule density curve).
-  kOccurrence,
-  /// Each interval counts its rule's occurrence frequency: points covered
-  /// only by rare rules score lower than points covered by common ones.
-  kRuleFrequency,
-  /// Each interval counts 1 / interval-length: long, vague rules contribute
-  /// less than short, specific ones.
-  kInverseLength,
-};
-
-/// Weighted variant of the density curve. With kOccurrence it equals
-/// RuleDensityCurve (as doubles).
-std::vector<double> WeightedDensityCurve(
-    const std::vector<RuleInterval>& intervals, size_t series_length,
-    DensityWeighting weighting);
-
 /// Maximal zero-density runs of the density curve — the candidate anomalies
 /// the RRA algorithm adds as frequency-0 intervals ("continuous subsequences
 /// of the discretized time series that do not form any rule"). Runs shorter

@@ -53,24 +53,4 @@ double Max(std::span<const double> values) {
   return result;
 }
 
-size_t ArgMin(std::span<const double> values) {
-  size_t best = 0;
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i] < values[best]) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-size_t ArgMax(std::span<const double> values) {
-  size_t best = 0;
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i] > values[best]) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace gva

@@ -22,12 +22,6 @@ double Min(std::span<const double> values);
 /// Largest element; -inf for an empty span.
 double Max(std::span<const double> values);
 
-/// Index of the first smallest element; 0 for an empty span.
-size_t ArgMin(std::span<const double> values);
-
-/// Index of the first largest element; 0 for an empty span.
-size_t ArgMax(std::span<const double> values);
-
 }  // namespace gva
 
 #endif  // GVA_TIMESERIES_STATS_H_

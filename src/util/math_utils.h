@@ -1,8 +1,6 @@
 #ifndef GVA_UTIL_MATH_UTILS_H_
 #define GVA_UTIL_MATH_UTILS_H_
 
-#include <cstddef>
-
 namespace gva {
 
 /// Inverse of the standard normal cumulative distribution function
@@ -13,9 +11,6 @@ double InverseNormalCdf(double p);
 
 /// Standard normal cumulative distribution function.
 double NormalCdf(double x);
-
-/// Returns a divided by b, rounding up. Requires b > 0.
-inline size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
 }  // namespace gva
 

@@ -3,8 +3,9 @@
 // 2..1024 with ragged tails, flat windows, abandon and no-abandon limits,
 // limits exactly at the distance), the discretization level
 // (byte-identical SAX records), and the search level (brute force / HOTSAX
-// / RRA return the same discords under GVA_BACKEND=scalar and auto, at 1
-// and 4 threads).
+// / RRA return the same discords under the scalar backend and the CPU's
+// choice, swapped through the SetActiveBackend test seam, at 1 and 4
+// threads).
 //
 // Agreement contract (DESIGN.md §11): every backend builds the one distance
 // kernel and sums in its one order, so distances are the same bits and
@@ -141,19 +142,19 @@ TEST(BackendDifferentialTest, DiscretizeIsByteIdenticalUnderEveryBackend) {
     opts.paa_size = 6;
     opts.alphabet_size = 5;
 
-    ASSERT_TRUE(backend::SetActiveBackend("scalar").ok());
+    backend::SetActiveBackend(*ScalarBackend());
     const auto reference = Discretize(series, opts);
     ASSERT_TRUE(reference.ok()) << reference.status();
 
     for (const KernelBackend* b : AvailableBackends()) {
-      ASSERT_TRUE(backend::SetActiveBackend(b->name).ok());
+      backend::SetActiveBackend(*b);
       const auto got = Discretize(series, opts);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(got->words, reference->words) << b->name << " w=" << window;
       EXPECT_EQ(got->offsets, reference->offsets)
           << b->name << " w=" << window;
     }
-    ASSERT_TRUE(backend::SetActiveBackend("auto").ok());
+    backend::SetActiveBackend(*AvailableBackends().front());
   }
 }
 
@@ -164,13 +165,13 @@ class BackendSearchDifferentialTest : public ::testing::TestWithParam<size_t> {
  protected:
   size_t threads() const { return GetParam(); }
 
-  /// Runs `fn` once under the scalar backend and once under auto, restores
-  /// auto, and returns the two results.
+  /// Runs `fn` once under the scalar backend and once under the CPU's
+  /// choice, leaves the latter active, and returns the two results.
   template <typename Fn>
   auto UnderBothBackends(Fn&& fn) {
-    EXPECT_TRUE(backend::SetActiveBackend("scalar").ok());
+    backend::SetActiveBackend(*ScalarBackend());
     auto scalar_result = fn();
-    EXPECT_TRUE(backend::SetActiveBackend("auto").ok());
+    backend::SetActiveBackend(*AvailableBackends().front());
     auto auto_result = fn();
     return std::make_pair(std::move(scalar_result), std::move(auto_result));
   }

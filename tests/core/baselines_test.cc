@@ -1,15 +1,13 @@
 // Tests for the related-work baseline detectors (rare-word frequency and
-// compression scoring) and the weighted density curve variants.
+// compression scoring).
 
 #include <gtest/gtest.h>
 
 #include "core/compression_score.h"
 #include "core/evaluate.h"
 #include "core/frequency_detector.h"
-#include "core/pipeline.h"
 #include "datasets/ecg.h"
 #include "datasets/simple.h"
-#include "grammar/rule_intervals.h"
 #include "grammar/sequitur.h"
 
 namespace gva {
@@ -128,50 +126,6 @@ TEST(CompressionScoreTest, RejectsZeroSegment) {
   CompressionScoreOptions opts;
   opts.segment_tokens = 0;
   EXPECT_FALSE(DetectCompressionAnomalies(series, opts).ok());
-}
-
-// --- weighted density curves ------------------------------------------------
-
-TEST(WeightedDensityTest, OccurrenceWeightingMatchesPlainCurve) {
-  LabeledSeries data = MakeSineWithAnomaly(1200, 60.0, 0.03, 600, 80, 11);
-  SaxOptions sax;
-  sax.window = 120;
-  auto decomposition = DecomposeSeries(data.series, sax);
-  ASSERT_TRUE(decomposition.ok());
-  std::vector<uint32_t> plain =
-      RuleDensityCurve(decomposition->intervals, data.series.size());
-  std::vector<double> weighted =
-      WeightedDensityCurve(decomposition->intervals, data.series.size(),
-                           DensityWeighting::kOccurrence);
-  ASSERT_EQ(plain.size(), weighted.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_NEAR(weighted[i], static_cast<double>(plain[i]), 1e-9);
-  }
-}
-
-TEST(WeightedDensityTest, FrequencyWeightingMatchesNaive) {
-  std::vector<RuleInterval> intervals{
-      {1, 5, {0, 10}}, {2, 2, {5, 12}}, {3, 7, {90, 100}}};
-  std::vector<double> curve =
-      WeightedDensityCurve(intervals, 100, DensityWeighting::kRuleFrequency);
-  for (size_t i = 0; i < 100; ++i) {
-    double expected = 0.0;
-    for (const RuleInterval& ri : intervals) {
-      if (ri.span.Contains(i)) {
-        expected += static_cast<double>(ri.rule_frequency);
-      }
-    }
-    EXPECT_NEAR(curve[i], expected, 1e-9) << "i=" << i;
-  }
-}
-
-TEST(WeightedDensityTest, InverseLengthWeighting) {
-  std::vector<RuleInterval> intervals{{1, 2, {0, 4}}, {2, 2, {0, 8}}};
-  std::vector<double> curve =
-      WeightedDensityCurve(intervals, 10, DensityWeighting::kInverseLength);
-  EXPECT_NEAR(curve[0], 1.0 / 4.0 + 1.0 / 8.0, 1e-9);
-  EXPECT_NEAR(curve[5], 1.0 / 8.0, 1e-9);
-  EXPECT_NEAR(curve[9], 0.0, 1e-9);
 }
 
 }  // namespace

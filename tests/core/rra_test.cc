@@ -145,24 +145,6 @@ TEST(RraTest, GapIntervalsEnableRuleFreeAnomalies) {
   EXPECT_TRUE(saw_candidate_types);
 }
 
-TEST(RraTest, NormalizedDistanceFavorsShorterDiscords) {
-  // With normalization off, longer intervals (more accumulated terms) tend
-  // to dominate; verify the switch changes the objective (raw >= normalized
-  // for the same discord since length >= 1).
-  LabeledSeries data = MakeSineWithAnomaly(1500, 60.0, 0.05, 700, 80, 12);
-  RraOptions norm = Opts(120);
-  RraOptions raw = Opts(120);
-  raw.normalize_by_length = false;
-  auto with_norm = FindRraDiscords(data.series, norm);
-  auto without_norm = FindRraDiscords(data.series, raw);
-  ASSERT_TRUE(with_norm.ok());
-  ASSERT_TRUE(without_norm.ok());
-  ASSERT_FALSE(with_norm->result.discords.empty());
-  ASSERT_FALSE(without_norm->result.discords.empty());
-  EXPECT_GT(without_norm->result.discords[0].distance,
-            with_norm->result.discords[0].distance);
-}
-
 TEST(RraTest, RejectsBadArguments) {
   std::vector<double> v(500, 0.0);
   RraOptions zero_k = Opts(50);

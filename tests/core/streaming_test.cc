@@ -59,9 +59,6 @@ TEST(StreamingTest, CreateValidatesDensityOptions) {
   o.density.threshold_fraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(StreamingAnomalyMonitor::Create(o).ok());
   o.density.threshold_fraction = 0.1;
-  o.density.min_length = 0;
-  EXPECT_FALSE(StreamingAnomalyMonitor::Create(o).ok());
-  o.density.min_length = 1;
   EXPECT_TRUE(StreamingAnomalyMonitor::Create(o).ok());
 }
 

@@ -106,13 +106,12 @@ TEST_P(DifferentialTest, HotSaxEqualsBruteForceOnRandomWalk) {
 // RRA vs an exhaustive scan over the same candidate set.
 
 /// No-pruning reference for the RRA search: for every candidate interval,
-/// the exact (normalized) nearest-non-self-match distance over every
+/// the exact length-normalized nearest-non-self-match distance over every
 /// sliding position, reduced with the same BestCandidate total order the
 /// search uses. O(candidates * series * length) — test-sized inputs only.
 BestCandidate ExhaustiveBestOverCandidates(
     std::span<const double> series,
-    const std::vector<RuleInterval>& candidates, bool normalize_by_length,
-    double znorm_epsilon) {
+    const std::vector<RuleInterval>& candidates, double znorm_epsilon) {
   const SubsequenceDistance dist(series, znorm_epsilon);
   DistanceScan scan(dist);
   const size_t m = series.size();
@@ -120,8 +119,7 @@ BestCandidate ExhaustiveBestOverCandidates(
   for (const RuleInterval& cand : candidates) {
     const size_t p = cand.span.start;
     const size_t len = cand.span.length();
-    const double norm =
-        normalize_by_length ? static_cast<double>(len) : 1.0;
+    const double norm = static_cast<double>(len);
     double nn = SubsequenceDistance::kInfinity;
     size_t nn_q = 0;
     scan.SetQuery(p, len, dist.StatsOf(p, len));
@@ -151,8 +149,7 @@ void ExpectRraMatchesExhaustive(std::span<const double> series,
       BuildRraCandidates(*decomposition, options);
   ASSERT_FALSE(candidates.empty());
   const BestCandidate expected = ExhaustiveBestOverCandidates(
-      series, candidates, options.normalize_by_length,
-      options.sax.znorm_epsilon);
+      series, candidates, options.sax.znorm_epsilon);
   ASSERT_TRUE(expected.valid);
 
   const auto detection =
@@ -184,16 +181,6 @@ TEST_P(DifferentialTest, RraEqualsExhaustiveOnEcg) {
   ExpectRraMatchesExhaustive(data.series, options);
 }
 
-TEST_P(DifferentialTest, RraEqualsExhaustiveWithoutLengthNormalization) {
-  const LabeledSeries data =
-      MakeSineWithAnomaly(1200, 80.0, 0.05, 600, 60, 19);
-  RraOptions options;
-  options.sax.window = 80;
-  options.normalize_by_length = false;
-  options.num_threads = threads();
-  ExpectRraMatchesExhaustive(data.series, options);
-}
-
 TEST_P(DifferentialTest, RraApproximateModeNeverExceedsExhaustive) {
   // The approximate inner loop (no exhaustive tail) reports a distance at
   // least the true nearest-neighbor distance of its winning candidate —
@@ -214,9 +201,7 @@ TEST_P(DifferentialTest, RraApproximateModeNeverExceedsExhaustive) {
   const DiscordRecord& top = detection->discords[0];
 
   const SubsequenceDistance dist(data.series, options.sax.znorm_epsilon);
-  const double norm = options.normalize_by_length
-                          ? static_cast<double>(top.length)
-                          : 1.0;
+  const double norm = static_cast<double>(top.length);
   DistanceScan scan(dist);
   scan.SetQuery(top.position, top.length,
                 dist.StatsOf(top.position, top.length));

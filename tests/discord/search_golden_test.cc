@@ -123,13 +123,11 @@ LabeledSeries Respiration43() {
 
 class SearchGoldenTest : public ::testing::TestWithParam<GoldenCase> {
  protected:
-  void SetUp() override { previous_ = backend::ActiveBackend().name; }
-  void TearDown() override {
-    ASSERT_TRUE(backend::SetActiveBackend(previous_).ok());
-  }
+  void SetUp() override { previous_ = &backend::ActiveBackend(); }
+  void TearDown() override { backend::SetActiveBackend(*previous_); }
 
  private:
-  std::string previous_;
+  const backend::KernelBackend* previous_ = nullptr;
 };
 
 constexpr size_t kTopK = 3;
@@ -180,7 +178,7 @@ TEST_P(SearchGoldenTest, WholeResultIsPinned) {
 
   for (const backend::KernelBackend* b : backend::AvailableBackends()) {
     SCOPED_TRACE(b->name);
-    ASSERT_TRUE(backend::SetActiveBackend(b->name).ok());
+    backend::SetActiveBackend(*b);
     ExpectPinnedResults(c, series, sax);
   }
 }

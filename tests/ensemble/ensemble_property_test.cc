@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -210,6 +211,22 @@ TEST(EnsembleRobustness, AllConfigsUnrunnableIsAnError) {
   EXPECT_FALSE(detection.ok());
 }
 
+// RunEnsemble makes the threshold check the density detector and the
+// streaming monitor make: unchecked, a fraction of 7 reports most of the
+// series as one anomaly, -1 reports none, and NaN never finishes.
+TEST(EnsembleRobustness, ThresholdOutsideUnitIntervalIsRejected) {
+  const LabeledSeries data = TestSeries();
+  for (const double threshold :
+       {7.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EnsembleOptions options;
+    options.configs = {EnsembleConfig{120, 4, 4}};
+    options.anomaly.threshold_fraction = threshold;
+    const auto detection = RunEnsemble(data.series, options);
+    EXPECT_EQ(detection.status().code(), StatusCode::kInvalidArgument)
+        << threshold;
+  }
+}
+
 TEST(EnsembleRobustness, EmptySeriesIsAnError) {
   EnsembleOptions options;
   options.configs = TestGrid();
@@ -245,7 +262,6 @@ TEST(EnsembleScoring, FindLowScoreIntervalsMirrorsDensityExtraction) {
   }
   DensityAnomalyOptions options;
   options.threshold_fraction = 0.25;
-  options.exclude_edges = false;
   options.max_anomalies = 10;
   const auto expected = FindLowDensityIntervals(density, 0, options);
   const auto actual = FindLowScoreIntervals(score, 0, options);

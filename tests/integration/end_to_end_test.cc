@@ -124,7 +124,6 @@ TEST(TrajectoryEndToEndTest, DensityFindsDetour) {
   TrajectoryData data = MakeTrajectory(opts);
   DensityAnomalyOptions density_opts;
   density_opts.threshold_fraction = 0.05;
-  density_opts.min_length = 4;
   auto detection = DetectDensityAnomalies(
       data.labeled.series, data.labeled.recommended, density_opts);
   ASSERT_TRUE(detection.ok());

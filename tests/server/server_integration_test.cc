@@ -437,6 +437,13 @@ TEST_F(ServerIntegrationTest, MalformedSubmissionsAreRejected) {
       {R"({"series": []})", 400},                    // empty series
       {R"({"input": "demo:ecg", "window": -5})", 400},
       {R"({"input": "demo:ecg", "window": 1.5})", 400},
+      // A threshold outside [0, 1] is refused at submission, whichever
+      // detector would read it.
+      {R"({"input": "demo:ecg", "detector": "ensemble", "threshold": 7})",
+       400},
+      {R"({"input": "demo:ecg", "detector": "auto", "threshold": -1})", 400},
+      {R"({"input": "demo:ecg", "detector": "density", "threshold": 7})",
+       400},
   };
   for (const BadCase& bad : bad_cases) {
     const TestHttpResponse response =

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "server/server_test_client.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace gva {
 namespace {
@@ -327,6 +329,33 @@ TEST(ServerOverloadTest, StreamCapIsEnforced) {
   EXPECT_EQ(SendHttpRequest(port, "POST", "/v1/streams/c", config).status,
             201);
   server->Stop();
+}
+
+// The runner starts one worker thread per slot and lets each job run up to
+// max_threads_per_job pool lanes, so the product is capped at the pool's
+// own lane bound. Checked through Validate() alone, which starts no thread.
+TEST(JobRunnerOptionsTest, SlotsTimesThreadsIsBoundedByPoolLanes) {
+  JobRunnerOptions options;
+  EXPECT_TRUE(options.Validate().ok());  // the defaults, 2 * 4
+  options.max_threads_per_job = 1;
+  options.slots = ThreadPool::kMaxLanes;
+  EXPECT_TRUE(options.Validate().ok());
+  options.slots = ThreadPool::kMaxLanes + 1;
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+
+  options.max_threads_per_job = 4;
+  options.slots = ThreadPool::kMaxLanes / 4;
+  EXPECT_TRUE(options.Validate().ok());
+  options.slots += 1;
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+
+  // Products that wrap around size_t must not read as small.
+  options.slots = size_t{1} << (std::numeric_limits<size_t>::digits - 1);
+  options.max_threads_per_job = 2;
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+  options.slots = 2;
+  options.max_threads_per_job = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 // A connection that stops part way through a request, or never sends a

@@ -35,13 +35,6 @@ TEST(StatsTest, MinMax) {
   EXPECT_TRUE(std::isinf(Max(std::vector<double>{})));
 }
 
-TEST(StatsTest, ArgMinArgMaxFirstOccurrence) {
-  std::vector<double> v{2.0, 1.0, 1.0, 5.0, 5.0};
-  EXPECT_EQ(ArgMin(v), 1u);
-  EXPECT_EQ(ArgMax(v), 3u);
-  EXPECT_EQ(ArgMin(std::vector<double>{}), 0u);
-}
-
 TEST(StatsTest, MeanOfNegativeValues) {
   std::vector<double> v{-3.0, -5.0, -7.0};
   EXPECT_DOUBLE_EQ(Mean(v), -5.0);

@@ -48,13 +48,5 @@ TEST(InverseNormalCdfDeathTest, RejectsOutOfDomain) {
   EXPECT_DEATH((void)InverseNormalCdf(1.0), "p=");
 }
 
-TEST(CeilDivTest, Basics) {
-  EXPECT_EQ(CeilDiv(0, 3), 0u);
-  EXPECT_EQ(CeilDiv(1, 3), 1u);
-  EXPECT_EQ(CeilDiv(3, 3), 1u);
-  EXPECT_EQ(CeilDiv(4, 3), 2u);
-  EXPECT_EQ(CeilDiv(9, 3), 3u);
-}
-
 }  // namespace
 }  // namespace gva

@@ -15,7 +15,8 @@
 //                   and unauthenticated — exposing it wider is on you)
 //   --slots N       concurrent job slots (default 2)
 //   --queue N       queued-job capacity behind the slots (default 8)
-//   --job-threads N per-job worker-thread clamp (default 4)
+//   --job-threads N per-job worker-thread clamp (default 4); slots times
+//                   job-threads must not exceed 256, or startup fails
 //   --max-streams N live streaming-session cap (default 64)
 //   --quiet         print only the "listening on" line
 //
